@@ -31,14 +31,13 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
                                 support::Rng& rng, std::uint32_t cycle,
                                 std::vector<GpLevelTrace>* trace,
                                 Workspace& ws) {
-  FmOptions fm;
-  fm.max_passes = options.refine_passes;
+  const FmOptions& fm = options.fm;
   support::ThreadPool& pool = support::ThreadPool::global();
   for (std::size_t level = h.num_levels(); level-- > 0;) {
     const Graph& g = level == 0 ? finest : h.graphs[level];
     PhaseScope phase(ws.phases, PhaseProfile::kRefine, ws.phase_cat,
                      static_cast<std::int64_t>(level),
-                     static_cast<std::int64_t>(g.num_nodes()));
+                     static_cast<std::int64_t>(g.num_nodes()), &ws.fm.work);
     if (level + 1 < h.num_levels()) {
       // Project from the coarser level.
       std::vector<PartId> finer(g.num_nodes());
@@ -51,17 +50,13 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     support::Rng level_rng = rng.derive(0xFEEDull * (level + 1) + cycle);
     if (par.threads > 1 && g.num_nodes() >= par.min_parallel_nodes) {
       // Large level on the parallel path: goodness-monotone label
-      // propagation across the pool, then one bounded serial FM pass. LP
-      // does the bulk move work in parallel; the capped FM pass repairs
-      // what LP cannot see (tight constraint corners, negative-gain
-      // escapes) at a serial cost that stays a small fraction of the
-      // level — the Amdahl term is move_limit, not the node count.
+      // propagation across the pool, then one serial FM pass. LP does the
+      // bulk move work in parallel; the FM pass repairs what LP cannot see
+      // (tight constraint corners, negative-gain escapes).
       LpRefineOptions lp;
       parallel_lp_refine(g, p, c, lp, par, ws, pool);
       FmOptions polish = fm;
       polish.max_passes = 1;
-      polish.move_limit = std::max<std::uint64_t>(
-          4096, static_cast<std::uint64_t>(g.num_nodes()) / 8);
       constrained_fm_refine(g, p, c, polish, level_rng, ws);
     } else {
       constrained_fm_refine(g, p, c, fm, level_rng, ws);
@@ -140,9 +135,6 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
   grow_opts.balance_slack = options_.balance_slack;
   grow_opts.parallel = options_.parallel_restarts;
 
-  FmOptions fm;
-  fm.max_passes = options_.refine_passes;
-
   Workspace local_ws;
   Workspace& ws = request.workspace != nullptr ? *request.workspace : local_ws;
   WorkspaceLease lease(ws);
@@ -202,12 +194,14 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
       {
         PhaseScope phase(request.phases, PhaseProfile::kInitial, kTraceCat,
                          static_cast<std::int64_t>(h.num_levels() - 1),
-                         static_cast<std::int64_t>(coarsest.num_nodes()));
+                         static_cast<std::int64_t>(coarsest.num_nodes()),
+                         &ws.fm.work);
         support::Rng grow_rng = cycle_rng.derive(0x6120);
         Partition seed_part =
             greedy_grow_initial(coarsest, k, c, grow_opts, grow_rng);
         support::Rng seed_fm_rng = cycle_rng.derive(0x6121);
-        constrained_fm_refine(coarsest, seed_part, c, fm, seed_fm_rng, ws);
+        constrained_fm_refine(coarsest, seed_part, c, options_.fm,
+                              seed_fm_rng, ws);
         coarse_assign.resize(coarsest.num_nodes());
         for (NodeId u = 0; u < coarsest.num_nodes(); ++u)
           coarse_assign[u] = seed_part[u];

@@ -357,7 +357,8 @@ PartitionResult NLevelPartitioner::run(const Graph& g,
   std::vector<PartId> part(n, 0);
   {
   PhaseScope initial_phase(request.phases, PhaseProfile::kInitial, kTraceCat,
-                           -1, static_cast<std::int64_t>(dg.alive_count()));
+                           -1, static_cast<std::int64_t>(dg.alive_count()),
+                           &ws.fm.work);
   // Materialize alive nodes into a static graph for the greedy seeding.
   std::vector<NodeId> alive_nodes;
   alive_nodes.reserve(dg.alive_count());
@@ -466,9 +467,14 @@ PartitionResult NLevelPartitioner::run(const Graph& g,
   // Final full polish on the finest graph.
   if (options_.final_fm_passes > 0) {
     PhaseScope phase(request.phases, PhaseProfile::kRefine, kTraceCat, 0,
-                     static_cast<std::int64_t>(n));
+                     static_cast<std::int64_t>(n), &ws.fm.work);
     FmOptions fm;
     fm.max_passes = options_.final_fm_passes;
+    // No stopping rule here: after the n-level local search, improvements
+    // come after fruitless runs longer than the default window (593 moves
+    // on the 10k tracked PN, +5.4% cut with the window), and these passes
+    // are a negligible share of an NLevel run.
+    fm.stop_after_fruitless = 0;
     support::Rng fm_rng = rng.derive(0xF1AE);
     constrained_fm_refine(g, result.partition, c, fm, fm_rng, ws);
   }

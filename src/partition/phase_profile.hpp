@@ -10,8 +10,9 @@
 //
 // PhaseScope is the one hook call sites use: it charges the enclosing
 // profile AND emits a trace span (cat = algorithm name, name = phase,
-// args = level/nodes) in a single RAII object. With no profile attached and
-// tracing disabled it costs one relaxed atomic load and two null checks.
+// args = level/nodes, plus FM work counters where FM runs) in a single
+// RAII object. With no profile attached and tracing disabled it costs one
+// relaxed atomic load and a few null checks.
 //
 // Accounting rule: phases are charged at ONE layer only — per level inside
 // coarsen()/the refine loops, once per run around initial partitioning —
@@ -30,6 +31,35 @@
 
 namespace ppnpart::part {
 
+/// Work counters of the constrained FM refiner: passes run, passes ended by
+/// the stopping rule, moves applied and moves kept (the sum of every pass's
+/// best prefix). applied - kept is the work rolled back.
+struct FmWork {
+  std::uint64_t passes = 0;
+  std::uint64_t stopped_passes = 0;
+  std::uint64_t moves_applied = 0;
+  std::uint64_t moves_kept = 0;
+
+  FmWork& operator+=(const FmWork& o) {
+    passes += o.passes;
+    stopped_passes += o.stopped_passes;
+    moves_applied += o.moves_applied;
+    moves_kept += o.moves_kept;
+    return *this;
+  }
+  FmWork operator-(const FmWork& o) const {
+    return {passes - o.passes, stopped_passes - o.stopped_passes,
+            moves_applied - o.moves_applied, moves_kept - o.moves_kept};
+  }
+  /// Share of applied moves that were rolled back (0 when none applied).
+  double rollback_fraction() const {
+    return moves_applied == 0
+               ? 0.0
+               : static_cast<double>(moves_applied - moves_kept) /
+                     static_cast<double>(moves_applied);
+  }
+};
+
 struct PhaseProfile {
   enum Phase : std::uint8_t { kCoarsen = 0, kInitial = 1, kRefine = 2 };
   static constexpr std::size_t kNumPhases = 3;
@@ -42,6 +72,8 @@ struct PhaseProfile {
   Entry entries[kNumPhases];
   /// Deepest hierarchy level charged so far (0 = finest).
   std::uint32_t max_level = 0;
+  /// FM work done inside the charged scopes.
+  FmWork fm;
 
   static const char* phase_name(Phase p) {
     switch (p) {
@@ -88,29 +120,43 @@ struct PhaseProfile {
       entries[i].calls += other.entries[i].calls;
     }
     if (other.max_level > max_level) max_level = other.max_level;
+    fm += other.fm;
   }
   void reset() { *this = PhaseProfile(); }
 };
 
 /// RAII phase hook: charges `profile` (when non-null) for the scope's wall
 /// clock and emits a trace span cat/phase-name with level/nodes args (when
-/// tracing is enabled). `level`/`nodes` < 0 = unknown, omitted.
+/// tracing is enabled). `level`/`nodes` < 0 = unknown, omitted. With `fm`
+/// (a workspace's running FM counters) the FM work done inside the scope is
+/// charged to the profile and added as fm_* span args as well.
 class PhaseScope {
  public:
   PhaseScope(PhaseProfile* profile, PhaseProfile::Phase phase, const char* cat,
-             std::int64_t level = -1, std::int64_t nodes = -1)
+             std::int64_t level = -1, std::int64_t nodes = -1,
+             const FmWork* fm = nullptr)
       : profile_(profile),
         phase_(phase),
+        fm_(fm),
         span_(cat != nullptr ? cat : "multilevel",
               PhaseProfile::phase_name(phase)) {
     if (level >= 0) span_.arg("level", level);
     if (nodes >= 0) span_.arg("nodes", nodes);
+    if (fm_ != nullptr) fm_start_ = *fm_;
     if (profile_ != nullptr) {
       profile_->note_level(level);
       start_ = std::chrono::steady_clock::now();
     }
   }
   ~PhaseScope() {
+    if (fm_ != nullptr) {
+      const FmWork done = *fm_ - fm_start_;
+      span_.arg("fm_passes", static_cast<std::int64_t>(done.passes));
+      span_.arg("fm_stopped", static_cast<std::int64_t>(done.stopped_passes));
+      span_.arg("fm_applied", static_cast<std::int64_t>(done.moves_applied));
+      span_.arg("fm_kept", static_cast<std::int64_t>(done.moves_kept));
+      if (profile_ != nullptr) profile_->fm += done;
+    }
     if (profile_ == nullptr) return;
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - start_)
@@ -126,6 +172,8 @@ class PhaseScope {
  private:
   PhaseProfile* profile_;
   PhaseProfile::Phase phase_;
+  const FmWork* fm_;
+  FmWork fm_start_{};
   support::ScopedSpan span_;
   std::chrono::steady_clock::time_point start_{};
 };

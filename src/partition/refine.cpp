@@ -109,8 +109,6 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   log.clear();
   Goodness best = ctx.goodness();
   std::size_t best_prefix = 0;
-  const std::uint64_t limit =
-      options.move_limit == 0 ? n : options.move_limit;
 
   // Safety valve: lazy revalidation is amortized-cheap, but adversarial
   // weight patterns could ping-pong reinsertions; cap total pops.
@@ -121,7 +119,12 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   const std::size_t pool_cap = pool.capacity();
   const std::size_t heap_cap = heap.capacity();
 
-  while (!heap.empty() && log.size() < limit && pops++ < pop_limit) {
+  while (!heap.empty() && pops++ < pop_limit) {
+    if (options.stop_after_fruitless != 0 &&
+        log.size() - best_prefix > options.stop_after_fruitless) {
+      ++fs.work.stopped_passes;
+      break;
+    }
     const FmHeapEntry e = pool[heap.front()];
     std::pop_heap(heap.begin(), heap.end(), WorseDelta{pool.data()});
     heap.pop_back();
@@ -152,6 +155,8 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
     log.push_back({e.node, from});
     const Goodness now = ctx.goodness();
     if (now < best) {
+      fs.longest_fruitless = std::max<std::uint64_t>(
+          fs.longest_fruitless, log.size() - 1 - best_prefix);
       best = now;
       best_prefix = log.size();
     }
@@ -171,6 +176,10 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
       fs.stats->note((heap.capacity() - heap_cap) * sizeof(std::uint32_t));
     }
   }
+
+  ++fs.work.passes;
+  fs.work.moves_applied += log.size();
+  fs.work.moves_kept += best_prefix;
 
   // Roll back to the best prefix.
   for (std::size_t i = log.size(); i-- > best_prefix;) {

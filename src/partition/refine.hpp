@@ -6,7 +6,8 @@
 //    lexicographic goodness (resource excess, bandwidth excess, cut). Each
 //    pass moves every node at most once, accepts temporarily-worsening moves
 //    and commits the best prefix (classic FM hill-climbing), so it can
-//    escape local minima while repairing constraint violations.
+//    escape local minima while repairing constraint violations. A pass
+//    stops early after a run of moves that never beat its best prefix.
 //  * greedy_cut_refine — METIS-style k-way boundary refinement: positive
 //    cut-gain moves only, subject to a hard balance cap. Used by the
 //    MetisLike baseline, which models METIS's behavioural contract.
@@ -24,8 +25,9 @@ namespace ppnpart::part {
 
 struct FmOptions {
   std::uint32_t max_passes = 8;
-  /// Per-pass move budget; 0 means every node may move once.
-  std::uint64_t move_limit = 0;
+  /// Stopping rule: a pass ends once this many applied moves in a row have
+  /// failed to beat its best prefix (0 = run until the heap empties).
+  std::uint64_t stop_after_fruitless = 400;
   /// Seed the candidate heap with boundary nodes plus the nodes of
   /// overloaded parts (false: every node).
   bool seed_boundary_only = true;

@@ -29,12 +29,11 @@
 #include "partition/matching.hpp"
 #include "partition/move_context.hpp"
 #include "partition/partition.hpp"
+#include "partition/phase_profile.hpp"
 #include "support/alloc_stats.hpp"
 #include "support/contracts.hpp"
 
 namespace ppnpart::part {
-
-struct PhaseProfile;
 
 /// Heap entry of the constrained FM pass: the move's gain delta
 /// (goodness-after minus goodness-now, lexicographic), its node/target and
@@ -68,6 +67,14 @@ struct FmScratch {
   std::vector<NodeId> seeds;
   std::vector<std::uint8_t> seeded;
   std::vector<FmMoveRecord> log;
+  /// Running FM work over the workspace's lifetime; PhaseScope charges the
+  /// difference across a scope.
+  FmWork work;
+  /// Longest run of applied moves that failed to beat their pass's best
+  /// prefix before a later move of the same pass did, over the workspace's
+  /// lifetime. A stopping window at least this long cuts only fruitless
+  /// tails, so it changes no pass's best prefix.
+  std::uint64_t longest_fruitless = 0;
 };
 
 /// Scratch of bisection_fm_refine (2-way FM with side caps).

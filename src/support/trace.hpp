@@ -20,7 +20,7 @@
 //     pins Tracer::enabled() to false. Call sites compile unchanged.
 //
 // Events carry static-string names/categories (use intern_name() for
-// dynamic ones like portfolio member names), up to four integer args and a
+// dynamic ones like portfolio member names), up to six integer args and a
 // short truncated free-text `detail` — enough for admission decision
 // records and per-level phase spans without any allocation on the hot path.
 //
@@ -53,7 +53,7 @@ namespace ppnpart::support {
 /// One recorded event. POD-ish on purpose: ring slots are copied in and out
 /// under a seqlock, so the type must be trivially copyable.
 struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 4;
+  static constexpr std::size_t kMaxArgs = 6;
   static constexpr std::size_t kDetailBytes = 64;
 
   enum class Kind : std::uint8_t {
@@ -190,6 +190,7 @@ class ScopedSpan {
   ScopedSpan(const char* cat, const char* name, std::uint64_t id = 0)
       : active_(Tracer::global().enabled()) {
     if (active_) {
+      std::construct_at(&ev_);
       ev_.cat = cat;
       ev_.name = name;
       ev_.id = id;
@@ -216,7 +217,11 @@ class ScopedSpan {
   }
 
  private:
-  TraceEvent ev_;
+  // Built only when active: an inactive span never writes the event's
+  // bytes, so the off path does not pay for zeroing it.
+  union {
+    TraceEvent ev_;
+  };
   bool active_;
 };
 

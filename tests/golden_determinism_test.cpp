@@ -99,6 +99,49 @@ TEST(GoldenDeterminism, NLevelFixedSeed) {
   EXPECT_EQ(fp, 0xe478be81f7d9e695ull);
 }
 
+// ---- Mid-size serial GP golden. --------------------------------------------
+// The 300-node goldens above cannot see refinement changes: a 300-node FM
+// pass has too few moves for the stopping rule (or a change to it) to cut
+// into an improving run. At 20k nodes the longest fruitless run before an
+// improvement is 129 moves, so this golden fails if the FM window drops to
+// 100 — and it pins that the default window (400) returns exactly the
+// answer of unstopped FM (stop_after_fruitless = 0).
+
+graph::Graph tracked_pn_20k() {
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 20'000;
+  params.layers = params.num_nodes / 64;
+  support::Rng rng(123 + params.num_nodes);
+  return graph::random_process_network(params, rng);
+}
+
+part::PartitionRequest tracked_request_k8(const graph::Graph& g) {
+  part::PartitionRequest request;
+  request.k = 8;
+  request.seed = 99;
+  request.constraints.rmax =
+      static_cast<graph::Weight>(1.15 * g.total_node_weight() / 8);
+  request.constraints.bmax =
+      static_cast<graph::Weight>(1.3 * g.total_edge_weight() / 28.0 / 2.0);
+  return request;
+}
+
+TEST(GoldenDeterminism, GpMidSizeTrackedPn) {
+  const graph::Graph g = tracked_pn_20k();
+  part::GpOptions options;
+  options.max_cycles = 1;
+  const part::PartitionRequest request = tracked_request_k8(g);
+  const std::uint64_t fp =
+      fingerprint(part::GpPartitioner(options).run(g, request).partition);
+  std::printf("GP 20k fingerprint: 0x%llxull\n",
+              static_cast<unsigned long long>(fp));
+  EXPECT_EQ(fp, 0x604c4189520e662bull);
+  options.fm.stop_after_fruitless = 0;
+  EXPECT_EQ(fingerprint(part::GpPartitioner(options).run(g, request).partition),
+            fp)
+      << "the default FM window changed the answer of unstopped FM";
+}
+
 // ---- Parallel-mode determinism (PR 10). -----------------------------------
 // The parallel multilevel path (threads >= 2) is a different — still fully
 // deterministic — algorithm than the serial one: in deterministic mode

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
+#include "partition/gp.hpp"
 #include "partition/initial.hpp"
 #include "partition/refine.hpp"
 
@@ -113,6 +116,145 @@ TEST(ConstrainedFm, FindsObviousCutImprovement) {
   support::Rng rng(7);
   constrained_fm_refine(g, p, Constraints{}, FmOptions{}, rng);
   EXPECT_EQ(compute_goodness(g, p, Constraints{}).cut, 1);
+}
+
+// ---------------------------------------------------- FM stopping rule ---
+// The rule ends a pass once `stop_after_fruitless` applied moves in a row
+// have failed to beat the pass's best prefix. These properties run on
+// tracked PN graphs (random_process_network, layers = n/64, the benches'
+// workload shape), where passes run thousands of moves and long fruitless
+// tails are the norm.
+
+Graph tracked_pn(NodeId n, std::uint64_t seed) {
+  graph::ProcessNetworkParams params;
+  params.num_nodes = n;
+  params.layers = std::max<std::uint32_t>(8, n / 64);
+  support::Rng rng(seed);
+  return graph::random_process_network(params, rng);
+}
+
+/// The benches' constraints for K parts: 15% resource slack, 30%
+/// bandwidth slack over an even spread of the edge weight across pairs.
+Constraints tracked_constraints(const Graph& g, PartId k) {
+  Constraints c;
+  const double pairs = k * (k - 1) / 2.0;
+  c.rmax = static_cast<Weight>(
+      1.15 * static_cast<double>(g.total_node_weight()) / k);
+  c.bmax = static_cast<Weight>(
+      1.3 * static_cast<double>(g.total_edge_weight()) / pairs / 2.0);
+  return c;
+}
+
+struct FmRun {
+  Partition partition;
+  Goodness goodness;
+  FmWork work;
+  std::uint64_t longest_fruitless = 0;
+};
+
+FmRun run_fm(const Graph& g, const Partition& start, const Constraints& c,
+             std::uint64_t window, std::uint32_t passes, std::uint64_t seed) {
+  FmOptions options;
+  options.max_passes = passes;
+  options.stop_after_fruitless = window;
+  Workspace ws;
+  FmRun r{start, {}, {}, 0};
+  support::Rng rng(seed);
+  constrained_fm_refine(g, r.partition, c, options, rng, ws);
+  r.goodness = compute_goodness(g, r.partition, c);
+  r.work = ws.fm.work;
+  r.longest_fruitless = ws.fm.longest_fruitless;
+  return r;
+}
+
+class FmStoppingRule : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FmStoppingRule, WindowCoveringEveryFruitlessRunChangesNothing) {
+  const Graph g = tracked_pn(3000, GetParam());
+  const PartId k = 8;
+  const Constraints c = tracked_constraints(g, k);
+  support::Rng rng(GetParam() + 50);
+  const Partition start = random_balanced_partition(g, k, rng);
+  const FmRun unstopped = run_fm(g, start, c, 0, 8, GetParam());
+  ASSERT_EQ(unstopped.work.stopped_passes, 0u);
+  // The smallest window that still lets every improving move through.
+  const std::uint64_t window =
+      std::max<std::uint64_t>(1, unstopped.longest_fruitless);
+  const FmRun stopped = run_fm(g, start, c, window, 8, GetParam());
+  EXPECT_EQ(stopped.partition.assignments(),
+            unstopped.partition.assignments());
+  EXPECT_EQ(stopped.goodness, unstopped.goodness);
+  EXPECT_EQ(stopped.work.passes, unstopped.work.passes);
+  EXPECT_EQ(stopped.work.moves_kept, unstopped.work.moves_kept);
+  // The rule did fire, and only cut fruitless tails.
+  EXPECT_GT(stopped.work.stopped_passes, 0u);
+  EXPECT_LT(stopped.work.moves_applied, unstopped.work.moves_applied);
+}
+
+TEST_P(FmStoppingRule, NeverWorsensGoodnessAtAnyWindow) {
+  const Graph g = tracked_pn(2000, GetParam() + 10);
+  const PartId k = 8;
+  const Constraints c = tracked_constraints(g, k);
+  support::Rng rng(GetParam() + 60);
+  const Partition start = random_balanced_partition(g, k, rng);
+  const Goodness before = compute_goodness(g, start, c);
+  for (const std::uint64_t window : {1ull, 7ull, 100ull, 400ull, 0ull}) {
+    const FmRun r = run_fm(g, start, c, window, 8, GetParam());
+    EXPECT_FALSE(before < r.goodness) << "window " << window;
+    EXPECT_TRUE(r.partition.complete());
+  }
+}
+
+TEST_P(FmStoppingRule, StoppedPassAppliesAtMostBestPrefixPlusWindowPlusOne) {
+  const Graph g = tracked_pn(2000, GetParam() + 20);
+  const PartId k = 8;
+  const Constraints c = tracked_constraints(g, k);
+  support::Rng rng(GetParam() + 70);
+  const Partition start = random_balanced_partition(g, k, rng);
+  for (const std::uint64_t window : {1ull, 16ull, 400ull}) {
+    // One pass: the bound holds pass by pass, and a pass the rule ended
+    // stopped exactly one move past the window.
+    const FmRun one = run_fm(g, start, c, window, 1, GetParam());
+    ASSERT_EQ(one.work.passes, 1u);
+    EXPECT_LE(one.work.moves_applied, one.work.moves_kept + window + 1)
+        << "window " << window;
+    if (one.work.stopped_passes == 1) {
+      EXPECT_EQ(one.work.moves_applied, one.work.moves_kept + window + 1);
+    }
+    const FmRun many = run_fm(g, start, c, window, 8, GetParam());
+    EXPECT_LE(many.work.moves_applied,
+              many.work.moves_kept + many.work.passes * (window + 1))
+        << "window " << window;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FmStoppingRule, ::testing::Values(1, 2, 3));
+
+TEST(FmStoppingRuleGp, CoveringWindowMatchesUnstoppedGp) {
+  // Every level, pass and V-cycle of a GP run: a window covering the
+  // longest improving gap of the unstopped run reproduces it exactly.
+  const Graph g = tracked_pn(2000, 1);
+  PartitionRequest request;
+  request.k = 8;
+  request.seed = 1;
+  request.constraints = tracked_constraints(g, request.k);
+  GpOptions options;
+  options.max_cycles = 1;
+  options.fm.stop_after_fruitless = 0;
+  Workspace ws;
+  request.workspace = &ws;
+  const PartitionResult unstopped = GpPartitioner(options).run(g, request);
+  options.fm.stop_after_fruitless =
+      std::max<std::uint64_t>(1, ws.fm.longest_fruitless);
+  Workspace ws2;
+  request.workspace = &ws2;
+  const PartitionResult stopped = GpPartitioner(options).run(g, request);
+  EXPECT_EQ(stopped.partition.assignments(),
+            unstopped.partition.assignments());
+  EXPECT_EQ(compute_goodness(g, stopped.partition, request.constraints),
+            compute_goodness(g, unstopped.partition, request.constraints));
+  EXPECT_GT(ws2.fm.work.stopped_passes, 0u);
+  EXPECT_EQ(ws2.fm.work.moves_kept, ws.fm.work.moves_kept);
 }
 
 // ------------------------------------------------------- greedy refine ---

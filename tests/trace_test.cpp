@@ -552,5 +552,47 @@ TEST(Tracer, InstrumentationChangesNoPartitionOutput) {
   EXPECT_GT(profile.entries[part::PhaseProfile::kRefine].calls, 0u);
 }
 
+TEST(Tracer, FmWorkSpanArgsAddUpToTheProfile) {
+  // The refine (and initial) spans carry the FM work done inside them; over
+  // a run the span args must sum to exactly what the profile accumulated.
+  GlobalTracerGuard guard;
+  if (!tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 2000;
+  params.layers = 2000 / 64;
+  support::Rng rng(23);
+  const graph::Graph g = graph::random_process_network(params, rng);
+  part::GpOptions options;
+  options.max_cycles = 2;
+  part::PhaseProfile profile;
+  part::PartitionRequest request;
+  request.k = 8;
+  request.seed = 3;
+  request.phases = &profile;
+  Tracer::global().set_enabled(true);
+  part::GpPartitioner(options).run(g, request);
+  Tracer::global().set_enabled(false);
+
+  auto arg_of = [](const TraceEvent& ev, const char* key) -> std::int64_t {
+    for (const TraceEvent::Arg& a : ev.args)
+      if (a.key != nullptr && std::string_view(a.key) == key) return a.value;
+    return 0;
+  };
+  part::FmWork from_spans;
+  for (const TraceEvent& ev : Tracer::global().snapshot()) {
+    if (ev.cat == nullptr || std::string_view(ev.cat) != "gp") continue;
+    from_spans.passes += arg_of(ev, "fm_passes");
+    from_spans.stopped_passes += arg_of(ev, "fm_stopped");
+    from_spans.moves_applied += arg_of(ev, "fm_applied");
+    from_spans.moves_kept += arg_of(ev, "fm_kept");
+  }
+  EXPECT_GT(profile.fm.moves_applied, 0u);
+  EXPECT_LE(profile.fm.moves_kept, profile.fm.moves_applied);
+  EXPECT_EQ(from_spans.passes, profile.fm.passes);
+  EXPECT_EQ(from_spans.stopped_passes, profile.fm.stopped_passes);
+  EXPECT_EQ(from_spans.moves_applied, profile.fm.moves_applied);
+  EXPECT_EQ(from_spans.moves_kept, profile.fm.moves_kept);
+}
+
 }  // namespace
 }  // namespace ppnpart

@@ -49,6 +49,12 @@
 // reproducibility, cut ratio <= 1.05) and arms the >= 3x speedup-at-8 gate
 // only on >= 8-core hardware.
 //
+// The "fm_stopping" block records serial GP on a 100k-node tracked PN
+// with the FM stopping rule at its default window and switched off (time,
+// cut and FM work counters). --check gates the rule at 20k nodes: the
+// stopped cut may not exceed the unstopped cut, and the stopped run must
+// apply fewer FM moves.
+//
 // Modes:
 //   bench_json            full workload, writes BENCH_multilevel.json
 //   bench_json --stdout   full workload, JSON to stdout only
@@ -629,10 +635,52 @@ CaseResult run_case(const char* name, part::Partitioner& p,
   return r;
 }
 
+constexpr graph::NodeId kFmStoppingNodes = 100'000;
+constexpr std::uint32_t kFmStoppingCycles = 4;
+
+/// One serial GP run on the tracked workload with FM stopping window
+/// `window` (0 = unstopped): time, cut and the FM work it did.
+struct FmWindowRun {
+  double seconds = 0;
+  long long cut = 0;
+  part::FmWork fm;
+};
+
+FmWindowRun run_fm_window(const graph::Graph& g, std::uint32_t cycles,
+                          std::uint64_t window) {
+  part::Workspace ws;
+  part::GpOptions options;
+  options.max_cycles = cycles;
+  options.fm.stop_after_fruitless = window;
+  part::PartitionRequest request = bench::multilevel_workload_request(g, ws);
+  part::PhaseProfile prof;
+  request.phases = &prof;
+  support::Timer timer;
+  const part::PartitionResult r = part::GpPartitioner(options).run(g, request);
+  return {timer.seconds(), static_cast<long long>(r.metrics.total_cut),
+          prof.fm};
+}
+
+void emit_fm_window_run(std::FILE* out, const char* key,
+                        const FmWindowRun& r) {
+  std::fprintf(out,
+               "    \"%s\": {\"seconds\": %.4f, \"cut\": %lld, "
+               "\"fm_passes\": %llu, \"fm_stopped_passes\": %llu, "
+               "\"fm_moves_applied\": %llu, \"fm_moves_kept\": %llu, "
+               "\"fm_rollback_fraction\": %.4f}",
+               key, r.seconds, r.cut,
+               static_cast<unsigned long long>(r.fm.passes),
+               static_cast<unsigned long long>(r.fm.stopped_passes),
+               static_cast<unsigned long long>(r.fm.moves_applied),
+               static_cast<unsigned long long>(r.fm.moves_kept),
+               r.fm.rollback_fraction());
+}
+
 void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
                const IncrementalResult& inc, const SimilarityResult& sim,
                const RobustnessResult& rob, const NearTwinBurstResult& burst,
-               const ParallelScaleResult& scale, graph::NodeId n,
+               const ParallelScaleResult& scale, const FmWindowRun& stopped,
+               const FmWindowRun& unstopped, graph::NodeId n,
                double span_ns) {
   // Baseline: pre-workspace implementation (commit bb85fa0), same workload,
   // same machine class as the numbers committed with PR 3.
@@ -690,7 +738,8 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
   // timed wall clock the three phases explain). `tracing_off_span_ns` is
   // the cost of one tracing hook with tracing disabled at runtime — the
   // tier the inner loop pays permanently; the PPN_TRACE_DISABLED build
-  // reports ~0 for it.
+  // reports ~0 for it. The fm_* counters are the constrained FM refiner's
+  // work per run (MetisLike runs none).
   std::fprintf(out, "  \"phases\": {\n");
   std::fprintf(out, "    \"tracing_off_span_ns\": %.1f,\n", span_ns);
   std::fprintf(out, "    \"cases\": [\n");
@@ -704,7 +753,11 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
         "\"coarsen_share\": %.4f, \"initial_share\": %.4f, "
         "\"refine_share\": %.4f, \"coverage_of_wall\": %.4f, "
         "\"coarsen_us_per_run\": %.1f, \"initial_us_per_run\": %.1f, "
-        "\"refine_us_per_run\": %.1f}%s\n",
+        "\"refine_us_per_run\": %.1f, \"fm_passes_per_run\": %.1f, "
+        "\"fm_stopped_passes_per_run\": %.1f, "
+        "\"fm_moves_applied_per_run\": %.1f, "
+        "\"fm_moves_kept_per_run\": %.1f, \"fm_rollback_fraction\": "
+        "%.4f}%s\n",
         r.name.c_str(), p.max_level, p.share(part::PhaseProfile::kCoarsen),
         p.share(part::PhaseProfile::kInitial),
         p.share(part::PhaseProfile::kRefine),
@@ -715,7 +768,11 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
             r.reps,
         static_cast<double>(p.entries[part::PhaseProfile::kRefine].time_us) /
             r.reps,
-        i + 1 < results.size() ? "," : "");
+        static_cast<double>(p.fm.passes) / r.reps,
+        static_cast<double>(p.fm.stopped_passes) / r.reps,
+        static_cast<double>(p.fm.moves_applied) / r.reps,
+        static_cast<double>(p.fm.moves_kept) / r.reps,
+        p.fm.rollback_fraction(), i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
@@ -789,6 +846,23 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
       static_cast<unsigned long long>(burst.declines),
       static_cast<unsigned long long>(burst.parked),
       burst.counters_solvent ? "true" : "false");
+  // FM stopping rule at scale: serial GP on the 100k-node tracked PN with
+  // the default window and with the rule off.
+  std::fprintf(out,
+               "  \"fm_stopping\": {\"graph\": \"random_process_network\", "
+               "\"nodes\": %u, \"k\": 8, \"seed\": 99, \"cycles\": %u, "
+               "\"window\": %llu, \"cut_ratio\": %.4f, \"speedup\": %.2f,\n",
+               kFmStoppingNodes, kFmStoppingCycles,
+               static_cast<unsigned long long>(
+                   part::FmOptions{}.stop_after_fruitless),
+               unstopped.cut > 0 ? static_cast<double>(stopped.cut) /
+                                       static_cast<double>(unstopped.cut)
+                                 : 0.0,
+               stopped.seconds > 0 ? unstopped.seconds / stopped.seconds : 0.0);
+  emit_fm_window_run(out, "stopped", stopped);
+  std::fprintf(out, ",\n");
+  emit_fm_window_run(out, "unstopped", unstopped);
+  std::fprintf(out, "},\n");
   // Shared-memory scaling scenario (PR 10): one GP run on a large streamed
   // PN per thread count. `bit_identical_across_threads` is the
   // deterministic-mode contract; speedups are honest wall-clock ratios on
@@ -888,6 +962,31 @@ int self_check() {
                    "bench_json --check: accounted %llu us exceeds the %.0f "
                    "us wall clock (double-counted phase?)\n",
                    static_cast<unsigned long long>(prof.total_us()), wall_us);
+      return 1;
+    }
+  }
+  // FM stopping-rule gate, at 20k nodes where passes run thousands of
+  // moves: the default window may not worsen the cut of unstopped FM, and
+  // must actually save FM work.
+  {
+    const graph::Graph mid = bench::multilevel_workload_graph(20'000);
+    const FmWindowRun stopped =
+        run_fm_window(mid, 1, part::FmOptions{}.stop_after_fruitless);
+    const FmWindowRun unstopped = run_fm_window(mid, 1, 0);
+    if (stopped.cut > unstopped.cut) {
+      std::fprintf(stderr,
+                   "bench_json --check: FM stopping rule cut %lld vs %lld "
+                   "unstopped (ratio bound 1.00)\n",
+                   stopped.cut, unstopped.cut);
+      return 1;
+    }
+    if (stopped.fm.moves_applied >= unstopped.fm.moves_applied) {
+      std::fprintf(stderr,
+                   "bench_json --check: FM stopping rule applied %llu moves "
+                   "vs %llu unstopped (expected fewer)\n",
+                   static_cast<unsigned long long>(stopped.fm.moves_applied),
+                   static_cast<unsigned long long>(
+                       unstopped.fm.moves_applied));
       return 1;
     }
   }
@@ -1168,7 +1267,8 @@ int self_check() {
               "steady state; incremental chain deterministic and "
               "fallback-free; similarity admission all-hit, valid, "
               "stale-free, cut ratio %.3f; phase shares consistent, "
-              "tracing-off hook %.1f ns; overload burst exact and "
+              "tracing-off hook %.1f ns; FM stopping rule cut-neutral "
+              "at 20k; overload burst exact and "
               "replayable, shed rate %.2f; near-twin burst non-blocking, "
               "%d twins -> 1 full run + %llu warm starts; parallel scale "
               "thread-count-invariant, cut ratio %.3f, speedup gate %s)\n",
@@ -1220,15 +1320,23 @@ int main(int argc, char** argv) {
   const ParallelScaleResult scale =
       run_parallel_scale_case(/*nodes=*/1'000'000, {2u, 4u, 8u});
 
+  const graph::Graph big = bench::multilevel_workload_graph(kFmStoppingNodes);
+  const FmWindowRun stopped =
+      run_fm_window(big, kFmStoppingCycles,
+                    part::FmOptions{}.stop_after_fruitless);
+  const FmWindowRun unstopped = run_fm_window(big, kFmStoppingCycles, 0);
+
   const double span_ns = disabled_span_ns();
-  emit_json(stdout, results, inc, sim, rob, burst, scale, n, span_ns);
+  emit_json(stdout, results, inc, sim, rob, burst, scale, stopped, unstopped,
+            n, span_ns);
   if (!to_stdout) {
     std::FILE* f = std::fopen("BENCH_multilevel.json", "w");
     if (f == nullptr) {
       std::fprintf(stderr, "bench_json: cannot write BENCH_multilevel.json\n");
       return 1;
     }
-    emit_json(f, results, inc, sim, rob, burst, scale, n, span_ns);
+    emit_json(f, results, inc, sim, rob, burst, scale, stopped, unstopped, n,
+              span_ns);
     std::fclose(f);
     std::fprintf(stderr, "bench_json: wrote BENCH_multilevel.json\n");
   }
