@@ -32,7 +32,9 @@ struct GpOptions {
   std::uint32_t restarts = 10;      // paper default
   std::uint32_t max_cycles = 16;
   std::uint32_t fresh_restart_period = 3;  // every Nth cycle restarts fresh
-  FmOptions fm;  // constrained FM at every level and on the coarsest seed
+  std::uint32_t refine_passes = 8;
+  /// FM stopping-rule window (FmOptions::stop_after_fruitless; 0 = off).
+  std::uint64_t fm_stop_after_fruitless = FmOptions{}.stop_after_fruitless;
   std::vector<MatchingKind> matchings = {
       MatchingKind::kRandom, MatchingKind::kHeavyEdge, MatchingKind::kKMeans};
   double balance_slack = 1.0;  // growth cap slack in greedy initial

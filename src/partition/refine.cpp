@@ -109,6 +109,7 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   log.clear();
   Goodness best = ctx.goodness();
   std::size_t best_prefix = 0;
+  const std::uint64_t window = options.stop_after_fruitless;
 
   // Safety valve: lazy revalidation is amortized-cheap, but adversarial
   // weight patterns could ping-pong reinsertions; cap total pops.
@@ -119,12 +120,8 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   const std::size_t pool_cap = pool.capacity();
   const std::size_t heap_cap = heap.capacity();
 
-  while (!heap.empty() && pops++ < pop_limit) {
-    if (options.stop_after_fruitless != 0 &&
-        log.size() - best_prefix > options.stop_after_fruitless) {
-      ++fs.work.stopped_passes;
-      break;
-    }
+  while ((window == 0 || log.size() - best_prefix <= window) &&
+         !heap.empty() && pops++ < pop_limit) {
     const FmHeapEntry e = pool[heap.front()];
     std::pop_heap(heap.begin(), heap.end(), WorseDelta{pool.data()});
     heap.pop_back();
@@ -178,6 +175,7 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   }
 
   ++fs.work.passes;
+  fs.work.stopped_passes += window != 0 && log.size() - best_prefix > window;
   fs.work.moves_applied += log.size();
   fs.work.moves_kept += best_prefix;
 

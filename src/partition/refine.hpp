@@ -4,10 +4,9 @@
 //  * constrained_fm_refine — the paper's "FM-based algorithm": a
 //    Fiduccia–Mattheyses pass generalised to k parts whose gain is the
 //    lexicographic goodness (resource excess, bandwidth excess, cut). Each
-//    pass moves every node at most once, accepts temporarily-worsening moves
-//    and commits the best prefix (classic FM hill-climbing), so it can
-//    escape local minima while repairing constraint violations. A pass
-//    stops early after a run of moves that never beat its best prefix.
+//    pass moves nodes at most once, accepts temporarily-worsening moves,
+//    stops after a long fruitless run and commits the best prefix (classic
+//    FM hill-climbing), escaping local minima while repairing violations.
 //  * greedy_cut_refine — METIS-style k-way boundary refinement: positive
 //    cut-gain moves only, subject to a hard balance cap. Used by the
 //    MetisLike baseline, which models METIS's behavioural contract.
@@ -25,8 +24,7 @@ namespace ppnpart::part {
 
 struct FmOptions {
   std::uint32_t max_passes = 8;
-  /// Stopping rule: a pass ends once this many applied moves in a row have
-  /// failed to beat its best prefix (0 = run until the heap empties).
+  /// End a pass once this many moves in a row miss its best prefix; 0 = off.
   std::uint64_t stop_after_fruitless = 400;
   /// Seed the candidate heap with boundary nodes plus the nodes of
   /// overloaded parts (false: every node).

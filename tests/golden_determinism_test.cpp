@@ -136,7 +136,7 @@ TEST(GoldenDeterminism, GpMidSizeTrackedPn) {
   std::printf("GP 20k fingerprint: 0x%llxull\n",
               static_cast<unsigned long long>(fp));
   EXPECT_EQ(fp, 0x604c4189520e662bull);
-  options.fm.stop_after_fruitless = 0;
+  options.fm_stop_after_fruitless = 0;
   EXPECT_EQ(fingerprint(part::GpPartitioner(options).run(g, request).partition),
             fp)
       << "the default FM window changed the answer of unstopped FM";

@@ -240,11 +240,11 @@ TEST(FmStoppingRuleGp, CoveringWindowMatchesUnstoppedGp) {
   request.constraints = tracked_constraints(g, request.k);
   GpOptions options;
   options.max_cycles = 1;
-  options.fm.stop_after_fruitless = 0;
+  options.fm_stop_after_fruitless = 0;
   Workspace ws;
   request.workspace = &ws;
   const PartitionResult unstopped = GpPartitioner(options).run(g, request);
-  options.fm.stop_after_fruitless =
+  options.fm_stop_after_fruitless =
       std::max<std::uint64_t>(1, ws.fm.longest_fruitless);
   Workspace ws2;
   request.workspace = &ws2;

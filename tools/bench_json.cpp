@@ -51,9 +51,11 @@
 //
 // The "fm_stopping" block records serial GP on a 100k-node tracked PN
 // with the FM stopping rule at its default window and switched off (time,
-// cut and FM work counters). --check gates the rule at 20k nodes: the
-// stopped cut may not exceed the unstopped cut, and the stopped run must
-// apply fewer FM moves.
+// cut, FM work counters and the longest fruitless run a later move ended;
+// the full run warns when the unstopped figure reaches the window or the
+// stopped cut exceeds the unstopped one). --check gates the rule at 20k
+// nodes: the stopped cut may not exceed the unstopped cut, and the stopped
+// run must apply fewer FM moves.
 //
 // Modes:
 //   bench_json            full workload, writes BENCH_multilevel.json
@@ -639,11 +641,14 @@ constexpr graph::NodeId kFmStoppingNodes = 100'000;
 constexpr std::uint32_t kFmStoppingCycles = 4;
 
 /// One serial GP run on the tracked workload with FM stopping window
-/// `window` (0 = unstopped): time, cut and the FM work it did.
+/// `window` (0 = unstopped): time, cut, the FM work it did, and the longest
+/// fruitless run that a later move of the same pass ended (on the unstopped
+/// run, the window's true margin).
 struct FmWindowRun {
   double seconds = 0;
   long long cut = 0;
   part::FmWork fm;
+  std::uint64_t longest_fruitless = 0;
 };
 
 FmWindowRun run_fm_window(const graph::Graph& g, std::uint32_t cycles,
@@ -651,14 +656,14 @@ FmWindowRun run_fm_window(const graph::Graph& g, std::uint32_t cycles,
   part::Workspace ws;
   part::GpOptions options;
   options.max_cycles = cycles;
-  options.fm.stop_after_fruitless = window;
+  options.fm_stop_after_fruitless = window;
   part::PartitionRequest request = bench::multilevel_workload_request(g, ws);
   part::PhaseProfile prof;
   request.phases = &prof;
   support::Timer timer;
   const part::PartitionResult r = part::GpPartitioner(options).run(g, request);
   return {timer.seconds(), static_cast<long long>(r.metrics.total_cut),
-          prof.fm};
+          prof.fm, ws.fm.longest_fruitless};
 }
 
 void emit_fm_window_run(std::FILE* out, const char* key,
@@ -667,13 +672,15 @@ void emit_fm_window_run(std::FILE* out, const char* key,
                "    \"%s\": {\"seconds\": %.4f, \"cut\": %lld, "
                "\"fm_passes\": %llu, \"fm_stopped_passes\": %llu, "
                "\"fm_moves_applied\": %llu, \"fm_moves_kept\": %llu, "
-               "\"fm_rollback_fraction\": %.4f}",
+               "\"fm_rollback_fraction\": %.4f, "
+               "\"fm_longest_fruitless\": %llu}",
                key, r.seconds, r.cut,
                static_cast<unsigned long long>(r.fm.passes),
                static_cast<unsigned long long>(r.fm.stopped_passes),
                static_cast<unsigned long long>(r.fm.moves_applied),
                static_cast<unsigned long long>(r.fm.moves_kept),
-               r.fm.rollback_fraction());
+               r.fm.rollback_fraction(),
+               static_cast<unsigned long long>(r.longest_fruitless));
 }
 
 void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
@@ -1321,10 +1328,19 @@ int main(int argc, char** argv) {
       run_parallel_scale_case(/*nodes=*/1'000'000, {2u, 4u, 8u});
 
   const graph::Graph big = bench::multilevel_workload_graph(kFmStoppingNodes);
-  const FmWindowRun stopped =
-      run_fm_window(big, kFmStoppingCycles,
-                    part::FmOptions{}.stop_after_fruitless);
+  const std::uint64_t window = part::FmOptions{}.stop_after_fruitless;
+  const FmWindowRun stopped = run_fm_window(big, kFmStoppingCycles, window);
   const FmWindowRun unstopped = run_fm_window(big, kFmStoppingCycles, 0);
+  // The default window is only safe while it outlasts every fruitless run
+  // that unstopped FM later ends; say so when a regeneration loses it.
+  if (unstopped.longest_fruitless >= window || stopped.cut > unstopped.cut)
+    std::fprintf(stderr,
+                 "bench_json: WARNING FM stopping window %llu at %u nodes: "
+                 "unstopped longest fruitless run %llu, stopped cut %lld vs "
+                 "unstopped %lld\n",
+                 static_cast<unsigned long long>(window), kFmStoppingNodes,
+                 static_cast<unsigned long long>(unstopped.longest_fruitless),
+                 stopped.cut, unstopped.cut);
 
   const double span_ns = disabled_span_ns();
   emit_json(stdout, results, inc, sim, rob, burst, scale, stopped, unstopped,
