@@ -318,6 +318,7 @@ PortfolioOutcome Engine::run_one_impl(std::shared_ptr<const graph::Graph> g,
     path_metrics_.jobs->add();
     path_metrics_.exact_hits->add();
     path_metrics_.job_us->observe(out.seconds * 1e6);
+    keep_indexed(g, graph_fp, request, owns_graph, out.best.partition);
     // Every cached hit draws its own id from the job id stream, so trace
     // instants of distinct queries stay distinguishable instead of all
     // collapsing onto id 0. The id never enters jobs_ — there is no
@@ -404,6 +405,8 @@ std::shared_ptr<Engine::JobState> Engine::admit(
       state->route = Route::kResultCache;
       state->decision.path = AdmissionDecision::Path::kExactHit;
       path_metrics_.exact_hits->add();
+      keep_indexed(state->job.graph, graph_fp, state->job.request,
+                   owns_graph, cached->best.partition);
       PortfolioOutcome out = std::move(*cached);
       out.from_cache = true;
       serve_inline(state, std::move(out));
@@ -717,6 +720,21 @@ void Engine::maybe_index(const std::shared_ptr<JobState>& state,
   sim_index_.insert({*state->sketch, state->job.graph, state->graph_fp,
                      request_compat_fingerprint(state->job.request),
                      partition});
+}
+
+void Engine::keep_indexed(const std::shared_ptr<const graph::Graph>& graph,
+                          std::uint64_t graph_fp,
+                          const part::PartitionRequest& request,
+                          bool owns_graph, const part::Partition& partition) {
+  // A repeat uses its graph's entry as much as a sketch match does. Without
+  // this, a network whose traffic is all repeats for a while ages out of
+  // the LRU index behind other graphs' insertions, and its next edit misses
+  // and runs the full portfolio. The sketch is paid only on re-insertion.
+  if (!similarity_enabled()) return;
+  const std::uint64_t compat_fp = request_compat_fingerprint(request);
+  if (sim_index_.touch(graph_fp, compat_fp) || !owns_graph) return;
+  sim_index_.insert(
+      {support::sketch_of(*graph), graph, graph_fp, compat_fp, partition});
 }
 
 void Engine::launch_full(const std::shared_ptr<JobState>& state) {

@@ -587,6 +587,13 @@ class Engine {
   /// (no-op when disabled or the job does not own its graph).
   void maybe_index(const std::shared_ptr<JobState>& state,
                    const part::Partition& partition);
+  /// Stage 1: an exact repeat keeps its graph in the similarity index —
+  /// LRU-touches its entry, or re-inserts it with the cached answer when it
+  /// was evicted (no-op when disabled; no insert without graph ownership).
+  void keep_indexed(const std::shared_ptr<const graph::Graph>& graph,
+                    std::uint64_t graph_fp,
+                    const part::PartitionRequest& request, bool owns_graph,
+                    const part::Partition& partition);
   /// Stage 3: single-flight registration and portfolio member fan-out.
   void launch_full(const std::shared_ptr<JobState>& state);
   /// Bounded-admission gate (queue_capacity > 0): picks the degradation

@@ -96,6 +96,17 @@ void SimilarityIndex::insert(Entry entry) {
   }
 }
 
+bool SimilarityIndex::touch(std::uint64_t graph_fp, std::uint64_t compat_fp) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->graph_fp == graph_fp && it->compat_fp == compat_fp) {
+      entries_.splice(entries_.begin(), entries_, it);
+      return true;
+    }
+  }
+  return false;
+}
+
 std::size_t SimilarityIndex::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();

@@ -155,6 +155,10 @@ class SimilarityIndex {
   /// in the index.
   void insert(Entry entry);
 
+  /// LRU-touches the entry keyed by graph_fp + compat_fp; false when no
+  /// such entry is retained.
+  bool touch(std::uint64_t graph_fp, std::uint64_t compat_fp);
+
   std::size_t size() const;
   /// Drops every retained entry. Pending leaders are deliberately NOT
   /// cleared: they describe in-flight jobs whose parked followers would be

@@ -145,6 +145,24 @@ TEST(SimilarityIndex, MatchesByCompatAndEvictsLru) {
   EXPECT_TRUE(index.best_match(support::sketch_of(*c), 1, 0.5).has_value());
 }
 
+TEST(SimilarityIndex, TouchKeepsAnEntryFromEviction) {
+  engine::SimilarityIndex index(2);
+  const auto a = make_pn(15, 96);
+  const auto b = make_pn(16, 96);
+  index.insert(make_entry(a, /*compat=*/1));
+  index.insert(make_entry(b, /*compat=*/1));
+  // Touching `a` by identity makes `b` the least recently used; a touch of
+  // an identity the index does not hold changes nothing.
+  EXPECT_TRUE(index.touch(engine::graph_fingerprint(*a), 1));
+  EXPECT_FALSE(index.touch(engine::graph_fingerprint(*b), 2));
+  index.insert(make_entry(make_pn(17, 96), /*compat=*/1));
+  EXPECT_EQ(index.size(), 2u);
+  const auto hit = index.best_match(support::sketch_of(*a), 1, 0.99);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->entry.graph.get(), a.get());
+  EXPECT_FALSE(index.best_match(support::sketch_of(*b), 1, 0.99).has_value());
+}
+
 TEST(SimilarityIndex, RejectsIncompletePartitions) {
   engine::SimilarityIndex index(4);
   const auto g = make_pn(13, 48);
@@ -271,6 +289,33 @@ TEST(Engine, SimilarityHitNeverPollutesTheExactCache) {
   EXPECT_FALSE(again_b.from_cache);
   EXPECT_EQ(again_b.best.partition.size(), b->num_nodes());
   EXPECT_TRUE(again_b.best.partition.complete());
+}
+
+TEST(Engine, ExactRepeatKeepsItsNetworkIndexed) {
+  // A network whose traffic is exact repeats (result-cache hits) must not
+  // drop out of the similarity index behind other networks' answers: its
+  // next edit should still warm-start instead of running the portfolio.
+  engine::EngineOptions opts = sim_options();
+  opts.similarity.capacity = 2;
+  engine::Engine eng(opts);
+  const auto a = make_pn(28, 200);
+  const part::PartitionRequest request = make_request(*a);
+  ASSERT_FALSE(eng.run_one(a, request).winner.empty());
+  // A repeat touches a's entry, so b's answer is the one c's evicts.
+  ASSERT_FALSE(eng.run_one(make_pn(29, 200), request).similarity);
+  ASSERT_TRUE(eng.run_one(a, request).from_cache);
+  ASSERT_FALSE(eng.run_one(make_pn(30, 200), request).similarity);
+  const auto near_a = perturb(*a, 0.01, 41);
+  EXPECT_TRUE(eng.run_one(near_a, request).similarity);
+
+  // Two more networks evict both a and its twin; a repeat through submit
+  // puts a back with its cached answer.
+  ASSERT_FALSE(eng.run_one(make_pn(31, 200), request).similarity);
+  ASSERT_FALSE(eng.run_one(make_pn(32, 200), request).similarity);
+  EXPECT_TRUE(eng.wait(eng.submit(engine::Job{a, request})).from_cache);
+  const auto out = eng.run_one(perturb(*a, 0.01, 42), request);
+  EXPECT_TRUE(out.similarity);
+  EXPECT_TRUE(out.best.partition.complete());
 }
 
 TEST(Engine, FarArrivalsDeclineToTheFullPath) {
