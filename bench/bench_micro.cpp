@@ -138,8 +138,9 @@ void BM_ConstrainedFmPass(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     part::Partition p = part::random_balanced_partition(g, 4, rng);
+    part::Workspace ws;  // cold: every pass allocates its scratch
     state.ResumeTiming();
-    part::constrained_fm_refine(g, p, c, options, rng);
+    part::constrained_fm_refine(g, p, c, options, rng, ws);
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }

@@ -60,7 +60,6 @@ PartitionResult AnnealingPartitioner::run(const Graph& g,
   double current_e = energy(ctx.goodness(), penalty);
 
   std::vector<PartId> best_assign(p.assignments());
-  Goodness best_good = ctx.goodness();
   double best_e = current_e;
 
   // Calibrate T0 so that `initial_acceptance` of sampled uphill moves pass.
@@ -103,16 +102,15 @@ PartitionResult AnnealingPartitioner::run(const Graph& g,
         const PartId pu = ctx.part_of(u);
         const PartId pv = ctx.part_of(v);
         if (u == v || pu == pv) continue;
-        ctx.apply(u, pv);
-        const double after_e =
-            energy(ctx.goodness_after(v, pu), penalty);
+        const double after_e = energy(
+            ctx.goodness_after_swap(u, v, g.edge_weight_between(u, v)),
+            penalty);
         const double de = after_e - current_e;
         if (de <= 0 ||
             rng.uniform_real() < std::exp(-de / temperature)) {
+          ctx.apply(u, pv);
           ctx.apply(v, pu);
           current_e = after_e;
-        } else {
-          ctx.apply(u, pu);  // reject: undo the half-swap
         }
       } else {
         const NodeId u = static_cast<NodeId>(rng.uniform_index(n));
@@ -130,7 +128,6 @@ PartitionResult AnnealingPartitioner::run(const Graph& g,
       }
       if (current_e < best_e) {
         best_e = current_e;
-        best_good = ctx.goodness();
         best_assign = ctx.partition().assignments();
         improved_best_this_step = true;
       }
@@ -155,7 +152,6 @@ PartitionResult AnnealingPartitioner::run(const Graph& g,
   for (NodeId u = 0; u < n; ++u) result.partition.set(u, best_assign[u]);
   result.finalize(g, c);
   result.seconds = timer.seconds();
-  (void)best_good;
   return result;
 }
 

@@ -98,6 +98,7 @@ PartitionResult GeneticPartitioner::run(const Graph& g,
 
   FmOptions polish;
   polish.max_passes = options_.polish_fm_passes;
+  Workspace ws;
 
   auto polish_and_eval = [&](std::vector<PartId>& assign,
                              std::uint64_t tag) -> Goodness {
@@ -105,7 +106,7 @@ PartitionResult GeneticPartitioner::run(const Graph& g,
     for (NodeId u = 0; u < n; ++u) p.set(u, assign[u]);
     if (options_.polish_fm_passes > 0 && n > 0) {
       support::Rng fm_rng = rng.derive(tag);
-      constrained_fm_refine(g, p, c, polish, fm_rng);
+      constrained_fm_refine(g, p, c, polish, fm_rng, ws);
     }
     assign = p.assignments();
     return compute_goodness(g, p, c);

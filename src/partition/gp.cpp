@@ -19,11 +19,11 @@ namespace {
 
 constexpr const char* kTraceCat = "gp";
 
-/// Refines an assignment down a hierarchy, recording the trace. `assign`
-/// indexes the coarsest graph on entry and the finest on return. `finest`
-/// stands in for level 0: cached hierarchies drop their level-0 graph (the
-/// caller holds the input already), and for local hierarchies it is simply
-/// the same graph by content.
+/// Refines an assignment down a hierarchy, recording the trace when `trace`
+/// is non-null. `assign` indexes the coarsest graph on entry and the finest
+/// on return. `finest` stands in for level 0: cached hierarchies drop their
+/// level-0 graph (the caller holds the input already), and for local
+/// hierarchies it is simply the same graph by content.
 std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
                                 std::vector<PartId> assign, PartId k,
                                 const Constraints& c, const FmOptions& fm,
@@ -114,15 +114,22 @@ GpPartitioner::GpPartitioner(GpOptions options) : options_(std::move(options)) {
 
 PartitionResult GpPartitioner::run(const Graph& g,
                                    const PartitionRequest& request) {
-  return run_detailed(g, request);
+  return run_impl(g, request, /*traced=*/false);
 }
 
 GpResult GpPartitioner::run_detailed(const Graph& g,
                                      const PartitionRequest& request) {
+  return run_impl(g, request, /*traced=*/true);
+}
+
+GpResult GpPartitioner::run_impl(const Graph& g,
+                                 const PartitionRequest& request,
+                                 bool traced) {
   if (request.k <= 0) throw std::invalid_argument("GP: k must be positive");
   support::Timer timer;
   GpResult result;
   result.algorithm = name();
+  std::vector<GpLevelTrace>* trace = traced ? &result.trace : nullptr;
 
   const PartId k = request.k;
   const Constraints& c = request.constraints;
@@ -195,7 +202,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
         local = coarsen(g, coarsen_opts, cycle_rng, ws);
       }
       const Hierarchy& h = shared_h ? *shared_h : local;
-      record_coarsen_trace(h, g, cycle, &result.trace);
+      record_coarsen_trace(h, g, cycle, trace);
       const Graph& coarsest = h.num_levels() == 1 ? g : h.coarsest();
       std::vector<PartId> coarse_assign;
       {
@@ -213,7 +220,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
           coarse_assign[u] = seed_part[u];
       }
       assign = refine_down(h, g, std::move(coarse_assign), k, c, fm,
-                           par, cycle_rng, cycle, &result.trace, ws);
+                           par, cycle_rng, cycle, trace, ws);
     } else {
       // Cyclic re-coarsening around the incumbent (paper: "coarsened back to
       // the lowest level if needed … repeated a number of parametrized
@@ -221,7 +228,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
       // (iterated local search).
       RestrictedHierarchy rh =
           coarsen_restricted(g, *best_assign, coarsen_opts, cycle_rng, ws);
-      record_coarsen_trace(rh.hierarchy, g, cycle, &result.trace);
+      record_coarsen_trace(rh.hierarchy, g, cycle, trace);
       std::vector<PartId>& coarse = rh.coarse_parts;
       const NodeId cn = rh.hierarchy.coarsest().num_nodes();
       support::Rng kick_rng = cycle_rng.derive(0x6B1C6);
@@ -241,7 +248,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
         }
       }
       assign = refine_down(rh.hierarchy, g, std::move(coarse), k, c, fm,
-                           par, cycle_rng, cycle, &result.trace, ws);
+                           par, cycle_rng, cycle, trace, ws);
     }
 
     Partition p(g.num_nodes(), k);

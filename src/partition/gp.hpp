@@ -80,6 +80,10 @@ class GpPartitioner : public Partitioner {
   const GpOptions& options() const { return options_; }
 
  private:
+  /// Shared body; the per-level trace is built only when `traced`.
+  GpResult run_impl(const Graph& g, const PartitionRequest& request,
+                    bool traced);
+
   GpOptions options_;
 };
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "support/contracts.hpp"
 #include "support/strings.hpp"
 
 namespace ppnpart::part {
@@ -144,20 +145,18 @@ Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,
   // --- 1-D k-means on node weight. --------------------------------------
   // 1-D structure makes the usual O(n*k) Lloyd step unnecessary: with
   // centroids kept sorted, the nearest centroid of a weight w is found by
-  // binary search over the k-1 midpoints, so one iteration costs
-  // O(n log k). Seeding uses jittered quantiles of the weight distribution
+  // binary search over the k-1 midpoints. Equal weights always share a
+  // cluster, so each iteration runs over the d distinct weights with their
+  // multiplicities, O(d log k), and nodes are mapped to clusters once at
+  // the end. Seeding uses jittered quantiles of the weight distribution
   // (the 1-D equivalent of k-means++ spread, at O(n log n) once).
   std::vector<double>& centroid = scratch.centroid;
   support::assign_tracked(centroid, k, 0.0, scratch.stats);
   {
-    std::vector<double>& weight_of = scratch.weight_of;
-    support::assign_tracked(weight_of, n, 0.0, scratch.stats);
-    for (NodeId u = 0; u < n; ++u)
-      weight_of[u] = static_cast<double>(g.node_weight(u));
-
-    std::vector<double>& sorted_w = scratch.sorted_w;
+    std::vector<Weight>& sorted_w = scratch.sorted_w;
     support::reserve_tracked(sorted_w, n, scratch.stats);
-    sorted_w.assign(weight_of.begin(), weight_of.end());
+    sorted_w.clear();
+    for (NodeId u = 0; u < n; ++u) sorted_w.push_back(g.node_weight(u));
     std::sort(sorted_w.begin(), sorted_w.end());
     for (std::uint32_t c = 0; c < k; ++c) {
       const double jitter = rng.uniform_real(-0.25, 0.25);
@@ -165,41 +164,71 @@ Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,
           (static_cast<double>(c) + 0.5 + jitter) * n / static_cast<double>(k);
       const auto idx = static_cast<std::size_t>(std::clamp(
           pos, 0.0, static_cast<double>(n - 1)));
-      centroid[c] = sorted_w[idx];
+      centroid[c] = static_cast<double>(sorted_w[idx]);
     }
     std::sort(centroid.begin(), centroid.end());
 
-    std::vector<std::uint32_t>& cluster_of = scratch.cluster_of;
-    support::assign_tracked(cluster_of, n, 0u, scratch.stats);
+    std::vector<Weight>& distinct_w = scratch.distinct_w;
+    std::vector<std::uint32_t>& distinct_count = scratch.distinct_count;
+    support::reserve_tracked(distinct_w, n, scratch.stats);
+    support::reserve_tracked(distinct_count, n, scratch.stats);
+    distinct_w.clear();
+    distinct_count.clear();
+    for (const Weight w : sorted_w) {
+      if (distinct_w.empty() || distinct_w.back() != w) {
+        distinct_w.push_back(w);
+        distinct_count.push_back(0);
+      }
+      ++distinct_count.back();
+    }
+    const std::size_t d = distinct_w.size();
+    std::vector<std::uint32_t>& distinct_cluster = scratch.distinct_cluster;
+    support::assign_tracked(distinct_cluster, d, 0u, scratch.stats);
+
+    // Integer weights make a cluster's sum the same in any order; summed as
+    // Weight and converted once, the centroids match a per-node double sum
+    // bit for bit as long as every sum is exact in a double.
+    PPN_DCHECK(g.total_node_weight() < (Weight{1} << 53));
     std::vector<double>& midpoints = scratch.midpoints;
     support::assign_tracked(midpoints, k > 0 ? k - 1 : 0, 0.0, scratch.stats);
-    std::vector<double>& sum = scratch.cluster_sum;
+    std::vector<Weight>& sum = scratch.cluster_sum;
     std::vector<std::uint32_t>& cnt = scratch.cluster_count;
     for (std::uint32_t it = 0; it < options.max_iterations; ++it) {
       for (std::uint32_t c = 0; c + 1 < k; ++c)
         midpoints[c] = 0.5 * (centroid[c] + centroid[c + 1]);
       bool changed = false;
-      support::assign_tracked(sum, k, 0.0, scratch.stats);
+      support::assign_tracked(sum, k, Weight{0}, scratch.stats);
       support::assign_tracked(cnt, k, 0u, scratch.stats);
-      for (NodeId u = 0; u < n; ++u) {
+      for (std::size_t i = 0; i < d; ++i) {
         const auto best = static_cast<std::uint32_t>(
             std::upper_bound(midpoints.begin(), midpoints.end(),
-                             weight_of[u]) -
+                             static_cast<double>(distinct_w[i])) -
             midpoints.begin());
-        if (cluster_of[u] != best) {
-          cluster_of[u] = best;
+        if (distinct_cluster[i] != best) {
+          distinct_cluster[i] = best;
           changed = true;
         }
-        sum[best] += weight_of[u];
-        ++cnt[best];
+        sum[best] += distinct_w[i] * distinct_count[i];
+        cnt[best] += distinct_count[i];
       }
       for (std::uint32_t c = 0; c < k; ++c) {
-        if (cnt[c] > 0) centroid[c] = sum[c] / cnt[c];
+        if (cnt[c] > 0) centroid[c] = static_cast<double>(sum[c]) / cnt[c];
       }
       // Means of disjoint sorted intervals stay sorted; re-sort only to
       // guard against empty-cluster carry-overs.
       std::sort(centroid.begin(), centroid.end());
       if (!changed) break;
+    }
+
+    std::vector<std::uint32_t>& cluster_of = scratch.cluster_of;
+    support::reserve_tracked(cluster_of, n, scratch.stats);
+    cluster_of.resize(n);
+    for (NodeId u = 0; u < n; ++u) {
+      const auto i = static_cast<std::size_t>(
+          std::lower_bound(distinct_w.begin(), distinct_w.end(),
+                           g.node_weight(u)) -
+          distinct_w.begin());
+      cluster_of[u] = distinct_cluster[i];
     }
 
     // --- Match within clusters, heaviest incident edge first. ----------

@@ -41,12 +41,14 @@ struct MatchingScratch {
   std::vector<std::uint32_t> order;      // random visit order
   std::vector<NodeId> candidates;        // free-neighbour pool
   std::vector<WeightedEdge> edges;       // sorted-edge sweeps
-  // k-means matching state
-  std::vector<double> weight_of;
-  std::vector<double> sorted_w;
+  // k-means matching state; Lloyd runs over the distinct node weights
+  std::vector<Weight> sorted_w;
+  std::vector<Weight> distinct_w;
+  std::vector<std::uint32_t> distinct_count;
+  std::vector<std::uint32_t> distinct_cluster;
   std::vector<double> centroid;
   std::vector<double> midpoints;
-  std::vector<double> cluster_sum;
+  std::vector<Weight> cluster_sum;
   std::vector<std::uint32_t> cluster_of;
   std::vector<std::uint32_t> cluster_count;
 };

@@ -108,6 +108,43 @@ Goodness MoveContext::goodness_after(NodeId u, PartId q) const {
   return Goodness{res, bw, cut_ + cup - cuq};
 }
 
+Goodness MoveContext::goodness_after_swap(NodeId u, NodeId v,
+                                          Weight w_uv) const {
+  const PartId p = part_of(u);
+  const PartId q = part_of(v);
+  if (p == q) return goodness();
+  const Weight shift = graph_->node_weight(u) - graph_->node_weight(v);
+  const Weight* conn_u = conn_.data() + static_cast<std::size_t>(u) * k_;
+  const Weight* conn_v = conn_.data() + static_cast<std::size_t>(v) * k_;
+  // conn(u,q) and conn(v,p) both count the u-v edge, which stays cut after
+  // the swap; 2 * w_uv adds it back.
+  const Weight d_pq = conn_u[p] - conn_u[q] + conn_v[q] - conn_v[p] + 2 * w_uv;
+
+  Weight res = resource_excess_;
+  res -= over(load(p), constraints_.rmax_of(p));
+  res += over(load(p) - shift, constraints_.rmax_of(p));
+  res -= over(load(q), constraints_.rmax_of(q));
+  res += over(load(q) + shift, constraints_.rmax_of(q));
+
+  Weight bw = bandwidth_excess_;
+  const Weight bmax = constraints_.bmax;
+  if (bmax != Constraints::kUnlimited) {
+    const Weight* pair_row_p = pairwise_.row(p);
+    const Weight* pair_row_q = pairwise_.row(q);
+    bw += over(pair_row_p[q] + d_pq, bmax) - over(pair_row_p[q], bmax);
+    for (PartId r = 0; r < k_; ++r) {
+      if (r == p || r == q) continue;
+      // Cut (p,r) gains v's edges into r and loses u's; (q,r) the reverse.
+      const Weight d = conn_v[r] - conn_u[r];
+      if (d == 0) continue;
+      bw += over(pair_row_p[r] + d, bmax) - over(pair_row_p[r], bmax);
+      bw += over(pair_row_q[r] - d, bmax) - over(pair_row_q[r], bmax);
+    }
+  }
+
+  return Goodness{res, bw, cut_ + d_pq};
+}
+
 void MoveContext::apply(NodeId u, PartId q) {
   const PartId p = part_of(u);
   if (p == q) return;

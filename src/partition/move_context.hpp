@@ -11,9 +11,9 @@
 //     (the moved node and its neighbours), enumeration lazily drops stale
 //     entries and reports ascending by node id — the same order the old
 //     full rescan produced, so downstream seed shuffles are unchanged.
-// A move costs O(degree(u) + k); evaluating a hypothetical move costs O(k);
-// boundary enumeration costs O(b log b) in the boundary size instead of the
-// former O(n * avg_degree) rescan.
+// A move costs O(degree(u) + k); evaluating a hypothetical move or swap
+// costs O(k); boundary enumeration costs O(b log b) in the boundary size
+// instead of the former O(n * avg_degree) rescan.
 // compute_metrics() (full recomputation) is the reference implementation the
 // tests compare against.
 //
@@ -75,6 +75,11 @@ class MoveContext {
   /// Goodness of the partition if u moved to part q (u's part unchanged is
   /// allowed and returns current goodness). O(k).
   Goodness goodness_after(NodeId u, PartId q) const;
+
+  /// Goodness of the partition if u and v exchanged parts, where `w_uv` is
+  /// the weight of the edge between them (0 when not adjacent). Exact and
+  /// O(k), nothing applied; u and v in one part returns current goodness.
+  Goodness goodness_after_swap(NodeId u, NodeId v, Weight w_uv) const;
 
   /// Moves u to part q, updating all incremental state. O(degree(u) + k).
   void apply(NodeId u, PartId q);

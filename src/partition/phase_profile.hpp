@@ -33,23 +33,27 @@ namespace ppnpart::part {
 
 /// Work counters of the constrained FM refiner: passes run, passes ended by
 /// the stopping rule, moves applied and moves kept (the sum of every pass's
-/// best prefix). applied - kept is the work rolled back.
+/// best prefix). applied - kept is the work rolled back. `swap_evals`
+/// counts the pairs swap_refine scored, which runs between FM rounds.
 struct FmWork {
   std::uint64_t passes = 0;
   std::uint64_t stopped_passes = 0;
   std::uint64_t moves_applied = 0;
   std::uint64_t moves_kept = 0;
+  std::uint64_t swap_evals = 0;
 
   FmWork& operator+=(const FmWork& o) {
     passes += o.passes;
     stopped_passes += o.stopped_passes;
     moves_applied += o.moves_applied;
     moves_kept += o.moves_kept;
+    swap_evals += o.swap_evals;
     return *this;
   }
   FmWork operator-(const FmWork& o) const {
     return {passes - o.passes, stopped_passes - o.stopped_passes,
-            moves_applied - o.moves_applied, moves_kept - o.moves_kept};
+            moves_applied - o.moves_applied, moves_kept - o.moves_kept,
+            swap_evals - o.swap_evals};
   }
   /// Share of applied moves that were rolled back (0 when none applied).
   double rollback_fraction() const {

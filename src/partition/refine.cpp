@@ -204,12 +204,6 @@ bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
   return current < initial;
 }
 
-bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
-                           const FmOptions& options, support::Rng& rng) {
-  Workspace ws;
-  return constrained_fm_refine(g, p, c, options, rng, ws);
-}
-
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng,
                  Workspace& ws) {
@@ -228,13 +222,18 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
       Goodness best_after = current;
       for (NodeId u = 0; u < n; ++u) {
         const PartId pu = ctx.part_of(u);
+        // u's adjacency is sorted, so one forward walk alongside v finds
+        // every w_uv.
+        auto nbrs = g.neighbors(u);
+        auto wgts = g.edge_weights(u);
+        std::size_t next = static_cast<std::size_t>(
+            std::upper_bound(nbrs.begin(), nbrs.end(), u) - nbrs.begin());
         for (NodeId v = u + 1; v < n; ++v) {
-          const PartId pv = ctx.part_of(v);
-          if (pu == pv) continue;
-          // Evaluate the swap by applying half of it temporarily.
-          ctx.apply(u, pv);
-          const Goodness after = ctx.goodness_after(v, pu);
-          ctx.apply(u, pu);
+          Weight w_uv = 0;
+          if (next < nbrs.size() && nbrs[next] == v) w_uv = wgts[next++];
+          if (pu == ctx.part_of(v)) continue;
+          ++ws.fm.work.swap_evals;
+          const Goodness after = ctx.goodness_after_swap(u, v, w_uv);
           if (after < best_after) {
             best_after = after;
             best_u = u;
@@ -253,12 +252,6 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
   }
   (void)rng;
   return ctx.goodness() < initial;
-}
-
-bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
-                 const SwapRefineOptions& options, support::Rng& rng) {
-  Workspace ws;
-  return swap_refine(g, p, c, options, rng, ws);
 }
 
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
@@ -309,12 +302,6 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
     if (!moved) break;
   }
   return ctx.cut() < initial_cut;
-}
-
-bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
-                       const GreedyRefineOptions& options, support::Rng& rng) {
-  Workspace ws;
-  return greedy_cut_refine(g, p, max_load, options, rng, ws);
 }
 
 bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
@@ -456,13 +443,6 @@ bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
     (void)rng;
   }
   return better(current, initial);
-}
-
-bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
-                         Weight cap1, std::uint32_t max_passes,
-                         support::Rng& rng) {
-  Workspace ws;
-  return bisection_fm_refine(g, p, cap0, cap1, max_passes, rng, ws);
 }
 
 }  // namespace ppnpart::part

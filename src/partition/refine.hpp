@@ -32,14 +32,11 @@ struct FmOptions {
 };
 
 /// Refines `p` in place toward lower goodness under `c`. Returns true iff
-/// the goodness strictly improved. The Workspace overload is the
-/// allocation-free hot path (scratch reused across calls); the plain
-/// overload spins up a private workspace — results are identical.
+/// the goodness strictly improved. Scratch comes from `ws`, so a warm
+/// workspace makes the call allocation-free.
 bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
                            const FmOptions& options, support::Rng& rng,
                            Workspace& ws);
-bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
-                           const FmOptions& options, support::Rng& rng);
 
 struct GreedyRefineOptions {
   std::uint32_t max_passes = 8;
@@ -52,8 +49,6 @@ struct GreedyRefineOptions {
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
                        const GreedyRefineOptions& options, support::Rng& rng,
                        Workspace& ws);
-bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
-                       const GreedyRefineOptions& options, support::Rng& rng);
 
 /// 2-way FM with independent side caps (cap0 for part 0, cap1 for part 1).
 /// Minimizes (total overweight, cut) lexicographically. Returns true iff
@@ -61,9 +56,6 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
 bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
                          Weight cap1, std::uint32_t max_passes,
                          support::Rng& rng, Workspace& ws);
-bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
-                         Weight cap1, std::uint32_t max_passes,
-                         support::Rng& rng);
 
 struct SwapRefineOptions {
   std::uint32_t max_passes = 4;
@@ -76,11 +68,11 @@ struct SwapRefineOptions {
 /// goodness objective. When Rmax is tight every part is full, so any single
 /// FM move transits a deep resource violation — swaps sidestep that by
 /// exchanging near-equal weights, which is exactly the move the paper's
-/// tight Experiment 3 needs. Returns true iff goodness improved.
+/// tight Experiment 3 needs. Each candidate pair is scored in closed form
+/// (MoveContext::goodness_after_swap) and counted in ws.fm.work.swap_evals;
+/// only the chosen swap is applied. Returns true iff goodness improved.
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng,
                  Workspace& ws);
-bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
-                 const SwapRefineOptions& options, support::Rng& rng);
 
 }  // namespace ppnpart::part

@@ -110,7 +110,8 @@ void spectral_recurse(const Graph& g, const std::vector<NodeId>& original_of,
       std::ceil(options.imbalance * fraction * static_cast<double>(total)));
   const auto cap1 = static_cast<Weight>(std::ceil(
       options.imbalance * (1.0 - fraction) * static_cast<double>(total)));
-  bisection_fm_refine(g, p, cap0, cap1, options.fm_passes, rng);
+  Workspace ws;
+  bisection_fm_refine(g, p, cap0, cap1, options.fm_passes, rng, ws);
 
   std::vector<NodeId> side0, side1;
   for (NodeId u = 0; u < g.num_nodes(); ++u) (p[u] == 0 ? side0 : side1).push_back(u);

@@ -12,6 +12,7 @@
 
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "partition/annealing.hpp"
 #include "partition/coarsen_cache.hpp"
 #include "partition/gp.hpp"
 #include "partition/incremental.hpp"
@@ -207,6 +208,19 @@ TEST(GoldenDeterminism, KlFixedSeed) {
   std::printf("KL fingerprint: 0x%llxull\n",
               static_cast<unsigned long long>(fp));
   EXPECT_EQ(fp, 0x30dbb270ea4905cdull);
+}
+
+// Annealing is the one swap caller outside GP's refine loop. Its swap
+// proposals are scored without applying them, so this pins that the scoring
+// accepts and rejects exactly what applying half the swap did.
+TEST(GoldenDeterminism, AnnealingFixedSeed) {
+  const graph::Graph g = pn_graph(300, 7);
+  part::AnnealingPartitioner annealing;
+  const part::PartitionResult r = annealing.run(g, request_for(g));
+  const std::uint64_t fp = fingerprint(r.partition);
+  std::printf("Annealing fingerprint: 0x%llxull\n",
+              static_cast<unsigned long long>(fp));
+  EXPECT_EQ(fp, 0x28294bd05350425full);
 }
 
 // ---- Incremental repartitioning goldens (PR 4). ---------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
+#include "partition/coarsen.hpp"
 #include "partition/matching.hpp"
 
 namespace ppnpart::part {
@@ -141,6 +144,133 @@ TEST(Matching, KMeansGroupsSimilarWeights) {
     if (m[1] == 2u) ++cross_class;
   }
   EXPECT_EQ(cross_class, 0) << "k-means matched across weight clusters";
+}
+
+/// The k-means matching as it was before its Lloyd loop ran over distinct
+/// weights: every iteration visits every node and sums its weight as a
+/// double. kmeans_matching must return exactly this matching.
+Matching reference_kmeans_matching(const Graph& g, support::Rng& rng,
+                                   const KMeansMatchingOptions& options) {
+  const NodeId n = g.num_nodes();
+  Matching match(n);
+  for (NodeId u = 0; u < n; ++u) match[u] = u;
+  if (n < 2) return match;
+  std::uint32_t k = options.clusters;
+  if (k == 0) k = std::max<std::uint32_t>(1, (n + 7) / 8);
+  k = std::min<std::uint32_t>(k, n);
+  std::vector<double> weight_of(n);
+  for (NodeId u = 0; u < n; ++u)
+    weight_of[u] = static_cast<double>(g.node_weight(u));
+  std::vector<double> sorted_w = weight_of;
+  std::sort(sorted_w.begin(), sorted_w.end());
+  std::vector<double> centroid(k);
+  for (std::uint32_t c = 0; c < k; ++c) {
+    const double jitter = rng.uniform_real(-0.25, 0.25);
+    const double pos =
+        (static_cast<double>(c) + 0.5 + jitter) * n / static_cast<double>(k);
+    centroid[c] = sorted_w[static_cast<std::size_t>(
+        std::clamp(pos, 0.0, static_cast<double>(n - 1)))];
+  }
+  std::sort(centroid.begin(), centroid.end());
+  std::vector<std::uint32_t> cluster_of(n, 0);
+  std::vector<double> midpoints(k - 1);
+  for (std::uint32_t it = 0; it < options.max_iterations; ++it) {
+    for (std::uint32_t c = 0; c + 1 < k; ++c)
+      midpoints[c] = 0.5 * (centroid[c] + centroid[c + 1]);
+    bool changed = false;
+    std::vector<double> sum(k, 0.0);
+    std::vector<std::uint32_t> cnt(k, 0);
+    for (NodeId u = 0; u < n; ++u) {
+      const auto best = static_cast<std::uint32_t>(
+          std::upper_bound(midpoints.begin(), midpoints.end(), weight_of[u]) -
+          midpoints.begin());
+      if (cluster_of[u] != best) changed = true;
+      cluster_of[u] = best;
+      sum[best] += weight_of[u];
+      ++cnt[best];
+    }
+    for (std::uint32_t c = 0; c < k; ++c) {
+      if (cnt[c] > 0) centroid[c] = sum[c] / cnt[c];
+    }
+    std::sort(centroid.begin(), centroid.end());
+    if (!changed) break;
+  }
+  // Intra-cluster edges, stable-sorted heaviest first after a shuffle.
+  std::vector<WeightedEdge> intra;
+  for (NodeId u = 0; u < n; ++u) {
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (u < nbrs[i] && cluster_of[u] == cluster_of[nbrs[i]])
+        intra.push_back({wgts[i], u, nbrs[i], 0});
+    }
+  }
+  rng.shuffle(intra);
+  std::stable_sort(intra.begin(), intra.end(),
+                   [](const WeightedEdge& a, const WeightedEdge& b) {
+                     return a.w > b.w;
+                   });
+  for (const WeightedEdge& e : intra) {
+    if (match[e.u] == e.u && match[e.v] == e.v) {
+      match[e.u] = e.v;
+      match[e.v] = e.u;
+    }
+  }
+  return match;
+}
+
+/// Same graph structure as `g` with node u weighing weight(u).
+template <typename WeightFn>
+Graph reweighted(const Graph& g, WeightFn weight) {
+  graph::GraphBuilder b(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    b.set_node_weight(u, weight(u));
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (u < nbrs[i]) b.add_edge(u, nbrs[i], wgts[i]);
+    }
+  }
+  return b.build();
+}
+
+void expect_matches_reference(const Graph& g, const char* what) {
+  for (const std::uint32_t clusters : {0u, 1u, 2u, 5u, g.num_nodes()}) {
+    KMeansMatchingOptions options;
+    options.clusters = clusters;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      support::Rng a(seed), b(seed);
+      EXPECT_EQ(kmeans_matching(g, a, options),
+                reference_kmeans_matching(g, b, options))
+          << what << ", clusters " << clusters << ", seed " << seed;
+      // Both consumed the same draws.
+      EXPECT_EQ(a(), b()) << what;
+    }
+  }
+}
+
+TEST(Matching, KMeansMatchesPerNodeLloydReference) {
+  support::Rng rng(77);
+  const Graph base = graph::erdos_renyi_gnm(90, 300, rng, {1, 9}, {1, 9});
+  expect_matches_reference(reweighted(base, [](NodeId) { return 6; }),
+                           "all-equal weights");
+  expect_matches_reference(
+      reweighted(base, [](NodeId u) { return 1 + 4 * (u % 3); }),
+      "three distinct weights");
+  expect_matches_reference(
+      reweighted(base, [](NodeId u) { return 1000 - 7 * u; }),
+      "all-distinct weights");
+  expect_matches_reference(base, "random weights");
+
+  // A contracted coarse level, whose weights are sums of fine weights.
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 600;
+  params.layers = 20;
+  support::Rng pn_rng(5);
+  const Graph fine = graph::random_process_network(params, pn_rng);
+  support::Rng hem_rng(6);
+  const CoarseLevel level = contract(fine, heavy_edge_matching(fine, hem_rng));
+  expect_matches_reference(level.graph, "contracted level");
 }
 
 TEST(Matching, EmptyAndSingleNodeGraphs) {

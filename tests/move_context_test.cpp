@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "graph/generators.hpp"
 #include "partition/initial.hpp"
@@ -51,6 +52,73 @@ TEST_P(MoveContextProperty, IncrementalMatchesRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MoveContextProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// goodness_after_swap scores an exchange of parts without applying it. It
+// must equal both the half-swap evaluation it replaces (apply u, score v,
+// undo) and a full recompute after the swap, for adjacent and non-adjacent
+// pairs, uniform and heterogeneous Rmax, limited and unlimited Bmax.
+class SwapProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, PartId>> {};
+
+TEST_P(SwapProperty, ClosedFormMatchesAppliedSwap) {
+  const auto [seed, k] = GetParam();
+  support::Rng rng(seed);
+  const Graph g = graph::erdos_renyi_gnm(40, 140, rng, {1, 20}, {1, 15});
+  for (int variant = 0; variant < 3; ++variant) {
+    Partition p = random_balanced_partition(g, k, rng);
+    Constraints c;
+    // Tight enough that swaps of unequal weights change the excesses.
+    const Weight even = g.total_node_weight() / k;
+    if (variant == 0) {
+      c.rmax = even + 5;
+    } else {
+      for (PartId r = 0; r < k; ++r)
+        c.rmax_per_part.push_back(even - 10 + 8 * (r % 3));
+    }
+    if (variant < 2) c.bmax = g.total_edge_weight() / (2 * k);
+    MoveContext ctx(g, p, c);
+    int adjacent = 0, apart = 0;
+    for (int step = 0; step < 300; ++step) {
+      const NodeId u = static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
+      auto nbrs = g.neighbors(u);
+      // Half the probes take a neighbour of u, so both pair kinds occur.
+      const NodeId v =
+          step % 2 == 0 && !nbrs.empty()
+              ? nbrs[rng.uniform_index(nbrs.size())]
+              : static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
+      const PartId pu = ctx.part_of(u);
+      const PartId pv = ctx.part_of(v);
+      const Weight w_uv = g.edge_weight_between(u, v);
+      const Goodness closed = ctx.goodness_after_swap(u, v, w_uv);
+      if (u == v || pu == pv) {
+        EXPECT_EQ(closed, ctx.goodness());
+      } else {
+        (w_uv != 0 ? adjacent : apart) += 1;
+        ctx.apply(u, pv);
+        EXPECT_EQ(closed, ctx.goodness_after(v, pu)) << "step " << step;
+        ctx.apply(v, pu);
+        EXPECT_EQ(closed, compute_goodness(g, p, c)) << "step " << step;
+        // Keep the swap on odd steps so the state wanders.
+        if (step % 2 == 0) {
+          ctx.apply(u, pu);
+          ctx.apply(v, pv);
+        }
+      }
+      // A random single move now and then unbalances the loads.
+      if (step % 5 == 0) {
+        ctx.apply(static_cast<NodeId>(rng.uniform_index(g.num_nodes())),
+                  static_cast<PartId>(rng.uniform_index(k)));
+      }
+    }
+    EXPECT_GT(adjacent, 0);
+    EXPECT_GT(apart, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndK, SwapProperty,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(PartId{2}, PartId{3}, PartId{8})));
 
 /// Reference boundary enumeration: full scan against compute_metrics-style
 /// adjacency inspection, ascending by id.

@@ -24,7 +24,8 @@ TEST_P(FmProperty, NeverWorsensGoodness) {
   c.bmax = 60;
   const Goodness before = compute_goodness(g, p, c);
   support::Rng frng(GetParam() * 3);
-  constrained_fm_refine(g, p, c, FmOptions{}, frng);
+  Workspace ws;
+  constrained_fm_refine(g, p, c, FmOptions{}, frng, ws);
   const Goodness after = compute_goodness(g, p, c);
   EXPECT_FALSE(before < after) << "FM worsened the goodness";
   EXPECT_TRUE(p.complete());
@@ -36,7 +37,8 @@ TEST_P(FmProperty, ImprovesRandomPartitionCut) {
   Partition p = random_balanced_partition(g, 3, rng);
   const Goodness before = compute_goodness(g, p, Constraints{});
   support::Rng frng(GetParam() * 7);
-  constrained_fm_refine(g, p, Constraints{}, FmOptions{}, frng);
+  Workspace ws;
+  constrained_fm_refine(g, p, Constraints{}, FmOptions{}, frng, ws);
   const Goodness after = compute_goodness(g, p, Constraints{});
   // Random 3-way of a 6-clique ring is nowhere near optimal; FM must help.
   EXPECT_LT(after.cut, before.cut);
@@ -65,7 +67,8 @@ TEST(ConstrainedFm, RepairsResourceViolation) {
   Constraints c;
   c.rmax = 70;
   support::Rng rng(5);
-  EXPECT_TRUE(constrained_fm_refine(g, p, c, FmOptions{}, rng));
+  Workspace ws;
+  EXPECT_TRUE(constrained_fm_refine(g, p, c, FmOptions{}, rng, ws));
   const Goodness after = compute_goodness(g, p, c);
   EXPECT_EQ(after.resource_excess, 0);
 }
@@ -91,7 +94,8 @@ TEST(ConstrainedFm, RepairsBandwidthViolation) {
   c.bmax = 15;  // pair (0,1) carries 20
   EXPECT_GT(compute_goodness(g, p, c).bandwidth_excess, 0);
   support::Rng rng(6);
-  constrained_fm_refine(g, p, c, FmOptions{}, rng);
+  Workspace ws;
+  constrained_fm_refine(g, p, c, FmOptions{}, rng, ws);
   EXPECT_EQ(compute_goodness(g, p, c).bandwidth_excess, 0);
 }
 
@@ -114,7 +118,8 @@ TEST(ConstrainedFm, FindsObviousCutImprovement) {
   p.set(4, 0);
   p.set(5, 1);
   support::Rng rng(7);
-  constrained_fm_refine(g, p, Constraints{}, FmOptions{}, rng);
+  Workspace ws;
+  constrained_fm_refine(g, p, Constraints{}, FmOptions{}, rng, ws);
   EXPECT_EQ(compute_goodness(g, p, Constraints{}).cut, 1);
 }
 
@@ -266,7 +271,8 @@ TEST(GreedyCutRefine, RespectsLoadCap) {
   const Weight cap = g.total_node_weight() / 4 + g.max_node_weight();
   const Weight before = compute_metrics(g, p).total_cut;
   support::Rng grng(9);
-  greedy_cut_refine(g, p, cap, GreedyRefineOptions{}, grng);
+  Workspace ws;
+  greedy_cut_refine(g, p, cap, GreedyRefineOptions{}, grng, ws);
   const PartitionMetrics after = compute_metrics(g, p);
   EXPECT_LE(after.total_cut, before);
   EXPECT_LE(after.max_load, cap);
@@ -283,7 +289,8 @@ TEST(GreedyCutRefine, NoMovesWhenCapForbids) {
   p.set(0, 0);
   p.set(1, 1);
   support::Rng rng(10);
-  greedy_cut_refine(g, p, 10, GreedyRefineOptions{}, rng);
+  Workspace ws;
+  greedy_cut_refine(g, p, 10, GreedyRefineOptions{}, rng, ws);
   // Merging would reduce the cut but blow the cap; must stay split.
   EXPECT_EQ(compute_metrics(g, p).max_load, 10);
 }
@@ -297,7 +304,8 @@ TEST(BisectionFm, BalancesTwoCliques) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, u % 2);
   const Weight half = g.total_node_weight() / 2;
   support::Rng rng(11);
-  bisection_fm_refine(g, p, half, half, 10, rng);
+  Workspace ws;
+  bisection_fm_refine(g, p, half, half, 10, rng, ws);
   const PartitionMetrics m = compute_metrics(g, p);
   EXPECT_LE(m.max_load, half);
   // The clean cut separates the cliques (ring has 2 bridges).
@@ -309,7 +317,8 @@ TEST(BisectionFm, RequiresK2) {
   Partition p(g.num_nodes(), 3);
   for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, 0);
   support::Rng rng(12);
-  EXPECT_THROW(bisection_fm_refine(g, p, 10, 10, 4, rng),
+  Workspace ws;
+  EXPECT_THROW(bisection_fm_refine(g, p, 10, 10, 4, rng, ws),
                std::invalid_argument);
 }
 
@@ -329,7 +338,8 @@ TEST(BisectionFm, ReducesOverweightFirst) {
   p.set(2, 1);
   p.set(3, 1);
   support::Rng rng(13);
-  bisection_fm_refine(g, p, 60, 60, 10, rng);
+  Workspace ws;
+  bisection_fm_refine(g, p, 60, 60, 10, rng, ws);
   const PartitionMetrics m = compute_metrics(g, p);
   EXPECT_LE(m.max_load, 60) << "overweight must dominate the heavy edge";
 }
@@ -356,7 +366,8 @@ TEST(SwapRefine, FixesTightResourceDeadlock) {
   c.rmax = 30;
   // Cut is 20; the swap 1<->2 gives cut 2 while keeping loads at 30.
   support::Rng rng(14);
-  EXPECT_TRUE(swap_refine(g, p, c, SwapRefineOptions{}, rng));
+  Workspace ws;
+  EXPECT_TRUE(swap_refine(g, p, c, SwapRefineOptions{}, rng, ws));
   const Goodness after = compute_goodness(g, p, c);
   EXPECT_EQ(after.resource_excess, 0);
   EXPECT_EQ(after.cut, 2);
@@ -368,7 +379,8 @@ TEST(SwapRefine, SkipsLargeGraphs) {
   Partition p = random_balanced_partition(g, 2, rng);
   SwapRefineOptions options;
   options.max_nodes = 100;
-  EXPECT_FALSE(swap_refine(g, p, Constraints{}, options, rng));
+  Workspace ws;
+  EXPECT_FALSE(swap_refine(g, p, Constraints{}, options, rng, ws));
 }
 
 TEST(SwapRefine, NeverWorsens) {
@@ -380,7 +392,8 @@ TEST(SwapRefine, NeverWorsens) {
     c.rmax = g.total_node_weight() / 3 + 10;
     c.bmax = 30;
     const Goodness before = compute_goodness(g, p, c);
-    swap_refine(g, p, c, SwapRefineOptions{}, rng);
+    Workspace ws;
+    swap_refine(g, p, c, SwapRefineOptions{}, rng, ws);
     const Goodness after = compute_goodness(g, p, c);
     EXPECT_FALSE(before < after) << "seed " << seed;
   }

@@ -47,7 +47,9 @@
 // parallel answer is bit-identical at every thread count. --check gates the
 // structural facts everywhere (validity, thread-count invariance, repeat
 // reproducibility, cut ratio <= 1.05) and arms the >= 3x speedup-at-8 gate
-// only on >= 8-core hardware.
+// only on >= 8-core hardware. The full run's "seed_ratios" also records the
+// p=2 cut ratio for request seeds 99, 1, 2 and 3 with their mean, min and
+// max, because the ratio moves by a few percent from seed to seed.
 //
 // The "fm_stopping" block records serial GP on a 100k-node tracked PN
 // with the FM stopping rule at its default window and switched off (time,
@@ -555,6 +557,15 @@ struct ParallelScalePoint {
   long long cut = 0;
 };
 
+/// Cut of one request seed on the serial path and at the first parallel
+/// thread count, for the spread of the ratio between them across seeds.
+struct SeedCutRatio {
+  std::uint64_t seed = 0;
+  long long serial_cut = 0;
+  long long parallel_cut = 0;
+  double ratio = 0;
+};
+
 struct ParallelScaleResult {
   graph::NodeId nodes = 0;
   std::uint64_t edges = 0;
@@ -565,10 +576,13 @@ struct ParallelScaleResult {
   double worst_cut_ratio_vs_serial = 0;
   bool bit_identical_across_threads = false;
   long peak_rss_kb = 0;
+  /// The workload's own seed first, then `extra_seeds` (full run only).
+  std::vector<SeedCutRatio> seed_ratios;
 };
 
 ParallelScaleResult run_parallel_scale_case(
-    graph::NodeId nodes, const std::vector<unsigned>& thread_counts) {
+    graph::NodeId nodes, const std::vector<unsigned>& thread_counts,
+    const std::vector<std::uint64_t>& extra_seeds = {}) {
   ParallelScaleResult r;
   graph::ProcessNetworkParams params;
   params.num_nodes = nodes;
@@ -615,6 +629,21 @@ ParallelScaleResult run_parallel_scale_case(
       r.worst_cut_ratio_vs_serial =
           std::max(r.worst_cut_ratio_vs_serial, ratio);
     }
+  }
+  auto record_seed = [&](long long serial_cut, long long parallel_cut) {
+    r.seed_ratios.push_back(
+        {request.seed, serial_cut, parallel_cut,
+         serial_cut > 0 ? static_cast<double>(parallel_cut) /
+                              static_cast<double>(serial_cut)
+                        : 0.0});
+  };
+  if (!extra_seeds.empty()) record_seed(r.serial_cut, r.points.front().cut);
+  for (const std::uint64_t seed : extra_seeds) {
+    request.seed = seed;
+    request.threads = 1;
+    const long long serial_cut = gp.run(g, request).metrics.total_cut;
+    request.threads = thread_counts.front();
+    record_seed(serial_cut, gp.run(g, request).metrics.total_cut);
   }
   r.peak_rss_kb = peak_rss_kb();
   return r;
@@ -746,7 +775,8 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
   // the cost of one tracing hook with tracing disabled at runtime — the
   // tier the inner loop pays permanently; the PPN_TRACE_DISABLED build
   // reports ~0 for it. The fm_* counters are the constrained FM refiner's
-  // work per run (MetisLike runs none).
+  // work per run (MetisLike runs none); swap_evals_per_run counts the pairs
+  // GP's swap refinement scored.
   std::fprintf(out, "  \"phases\": {\n");
   std::fprintf(out, "    \"tracing_off_span_ns\": %.1f,\n", span_ns);
   std::fprintf(out, "    \"cases\": [\n");
@@ -764,7 +794,7 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
         "\"fm_stopped_passes_per_run\": %.1f, "
         "\"fm_moves_applied_per_run\": %.1f, "
         "\"fm_moves_kept_per_run\": %.1f, \"fm_rollback_fraction\": "
-        "%.4f}%s\n",
+        "%.4f, \"swap_evals_per_run\": %.1f}%s\n",
         r.name.c_str(), p.max_level, p.share(part::PhaseProfile::kCoarsen),
         p.share(part::PhaseProfile::kInitial),
         p.share(part::PhaseProfile::kRefine),
@@ -779,7 +809,9 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
         static_cast<double>(p.fm.stopped_passes) / r.reps,
         static_cast<double>(p.fm.moves_applied) / r.reps,
         static_cast<double>(p.fm.moves_kept) / r.reps,
-        p.fm.rollback_fraction(), i + 1 < results.size() ? "," : "");
+        p.fm.rollback_fraction(),
+        static_cast<double>(p.fm.swap_evals) / r.reps,
+        i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
@@ -894,9 +926,32 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
   }
   std::fprintf(out,
                "    ],\n    \"worst_cut_ratio_vs_serial\": %.4f, "
-               "\"bit_identical_across_threads\": %s}\n",
+               "\"bit_identical_across_threads\": %s",
                scale.worst_cut_ratio_vs_serial,
                scale.bit_identical_across_threads ? "true" : "false");
+  if (!scale.seed_ratios.empty()) {
+    // Parallel-to-serial cut ratio per request seed at the first thread
+    // count, with its mean, min and max.
+    double sum = 0, lo = scale.seed_ratios.front().ratio, hi = lo;
+    std::fprintf(out, ",\n    \"seed_ratios\": {\"threads\": %u, \"runs\": [",
+                 scale.points.front().threads);
+    for (std::size_t i = 0; i < scale.seed_ratios.size(); ++i) {
+      const SeedCutRatio& s = scale.seed_ratios[i];
+      sum += s.ratio;
+      lo = std::min(lo, s.ratio);
+      hi = std::max(hi, s.ratio);
+      std::fprintf(out,
+                   "%s\n      {\"seed\": %llu, \"serial_cut\": %lld, "
+                   "\"parallel_cut\": %lld, \"ratio\": %.4f}",
+                   i > 0 ? "," : "", static_cast<unsigned long long>(s.seed),
+                   s.serial_cut, s.parallel_cut, s.ratio);
+    }
+    std::fprintf(out,
+                 "\n    ], \"mean_ratio\": %.4f, \"min_ratio\": %.4f, "
+                 "\"max_ratio\": %.4f}",
+                 sum / static_cast<double>(scale.seed_ratios.size()), lo, hi);
+  }
+  std::fprintf(out, "}\n");
   std::fprintf(out, "}\n");
 }
 
@@ -1325,7 +1380,8 @@ int main(int argc, char** argv) {
   // instance class the streamed generator and the parallel kernels exist
   // for. One warm + one timed serial run, then one run per thread count.
   const ParallelScaleResult scale =
-      run_parallel_scale_case(/*nodes=*/1'000'000, {2u, 4u, 8u});
+      run_parallel_scale_case(/*nodes=*/1'000'000, {2u, 4u, 8u},
+                              /*extra_seeds=*/{1, 2, 3});
 
   const graph::Graph big = bench::multilevel_workload_graph(kFmStoppingNodes);
   const std::uint64_t window = part::FmOptions{}.stop_after_fruitless;
