@@ -21,9 +21,13 @@ namespace ppnpart::engine {
 struct Portfolio {
   std::vector<std::string> members;
 
-  /// The default racing set: the paper's constraint-aware GP plus three
-  /// diverse constraint-honouring heuristics. MetisLike is included as the
-  /// cut-only baseline — on unconstrained requests it often wins outright.
+  /// The default racing set, {gp, metislike, tabu}: the paper's
+  /// constraint-aware GP, MetisLike as the cut-only baseline, and Tabu,
+  /// which wins a few small graphs (23-34 nodes) under tight constraints.
+  /// Annealing is not in it: over a 198-job corpus it won one job and used
+  /// about two thirds of the member CPU, and the job waits for its slowest
+  /// member (BENCH_multilevel.json "portfolio"). Every registry member,
+  /// annealing included, can still be named in parse().
   static Portfolio defaults();
 
   /// Parses a comma-separated spec ("gp,annealing,tabu"); "default" (or

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "partition/coarsen_cache.hpp"
 #include "partition/parallel.hpp"
@@ -19,19 +20,21 @@ namespace {
 
 constexpr const char* kTraceCat = "gp";
 
-/// Refines an assignment down a hierarchy, recording the trace when `trace`
-/// is non-null. `assign` indexes the coarsest graph on entry and the finest
-/// on return. `finest` stands in for level 0: cached hierarchies drop their
-/// level-0 graph (the caller holds the input already), and for local
-/// hierarchies it is simply the same graph by content.
-std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
-                                std::vector<PartId> assign, PartId k,
-                                const Constraints& c, const FmOptions& fm,
-                                const ParallelOptions& par,
-                                support::Rng& rng, std::uint32_t cycle,
-                                std::vector<GpLevelTrace>* trace,
-                                Workspace& ws) {
+/// Refines a partition down a hierarchy, recording the trace when `trace`
+/// is non-null. `ws.level_partition` holds the coarsest graph's partition
+/// on entry and the finest's on return; each projection reads the coarser
+/// level from `ws.coarse_partition`, so no level allocates once the two
+/// buffers have grown to the finest size. `finest` stands in for level 0:
+/// cached hierarchies drop their level-0 graph (the caller holds the input
+/// already), and for local hierarchies it is simply the same graph by
+/// content.
+void refine_down(const Hierarchy& h, const Graph& finest, PartId k,
+                 const Constraints& c, const FmOptions& fm,
+                 const ParallelOptions& par, support::Rng& rng,
+                 std::uint32_t cycle, std::vector<GpLevelTrace>* trace,
+                 Workspace& ws) {
   support::ThreadPool& pool = support::ThreadPool::global();
+  Partition& p = ws.level_partition;
   for (std::size_t level = h.num_levels(); level-- > 0;) {
     const Graph& g = level == 0 ? finest : h.graphs[level];
     PhaseScope phase(ws.phases, PhaseProfile::kRefine, ws.phase_cat,
@@ -39,13 +42,12 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
                      static_cast<std::int64_t>(g.num_nodes()), &ws.fm.work);
     if (level + 1 < h.num_levels()) {
       // Project from the coarser level.
-      std::vector<PartId> finer(g.num_nodes());
-      for (NodeId u = 0; u < g.num_nodes(); ++u) finer[u] = assign[h.maps[level][u]];
-      assign = std::move(finer);
+      std::swap(p, ws.coarse_partition);
+      const Partition& coarse = ws.coarse_partition;
+      p.reset(g.num_nodes(), k);
+      for (NodeId u = 0; u < g.num_nodes(); ++u)
+        p.set(u, coarse[h.maps[level][u]]);
     }
-    Partition& p = ws.level_partition;
-    p.reset(g.num_nodes(), k);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, assign[u]);
     support::Rng level_rng = rng.derive(0xFEEDull * (level + 1) + cycle);
     if (par.threads > 1 && g.num_nodes() >= par.min_parallel_nodes) {
       // Large level on the parallel path: goodness-monotone label
@@ -72,7 +74,6 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
         constrained_fm_refine(g, p, c, fm, level_rng, ws);
       }
     }
-    for (NodeId u = 0; u < g.num_nodes(); ++u) assign[u] = p[u];
     if (trace != nullptr) {
       GpLevelTrace t;
       t.cycle = cycle;
@@ -84,7 +85,6 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
       trace->push_back(t);
     }
   }
-  return assign;
 }
 
 void record_coarsen_trace(const Hierarchy& h, const Graph& finest,
@@ -177,7 +177,6 @@ GpResult GpPartitioner::run_impl(const Graph& g,
         (options_.fresh_restart_period > 0 &&
          cycle % std::max(1u, options_.fresh_restart_period) == 0);
 
-    std::vector<PartId> assign;
     if (fresh) {
       // Fresh V-cycle: coarsen (or fetch the shared canonical hierarchy),
       // seed with greedy growth, refine down.
@@ -204,7 +203,6 @@ GpResult GpPartitioner::run_impl(const Graph& g,
       const Hierarchy& h = shared_h ? *shared_h : local;
       record_coarsen_trace(h, g, cycle, trace);
       const Graph& coarsest = h.num_levels() == 1 ? g : h.coarsest();
-      std::vector<PartId> coarse_assign;
       {
         PhaseScope phase(request.phases, PhaseProfile::kInitial, kTraceCat,
                          static_cast<std::int64_t>(h.num_levels() - 1),
@@ -215,12 +213,9 @@ GpResult GpPartitioner::run_impl(const Graph& g,
             greedy_grow_initial(coarsest, k, c, grow_opts, grow_rng);
         support::Rng seed_fm_rng = cycle_rng.derive(0x6121);
         constrained_fm_refine(coarsest, seed_part, c, fm, seed_fm_rng, ws);
-        coarse_assign.resize(coarsest.num_nodes());
-        for (NodeId u = 0; u < coarsest.num_nodes(); ++u)
-          coarse_assign[u] = seed_part[u];
+        ws.level_partition = seed_part;
       }
-      assign = refine_down(h, g, std::move(coarse_assign), k, c, fm,
-                           par, cycle_rng, cycle, trace, ws);
+      refine_down(h, g, k, c, fm, par, cycle_rng, cycle, trace, ws);
     } else {
       // Cyclic re-coarsening around the incumbent (paper: "coarsened back to
       // the lowest level if needed … repeated a number of parametrized
@@ -247,16 +242,18 @@ GpResult GpPartitioner::run_impl(const Graph& g,
           if (u != v) std::swap(coarse[u], coarse[v]);
         }
       }
-      assign = refine_down(rh.hierarchy, g, std::move(coarse), k, c, fm,
-                           par, cycle_rng, cycle, trace, ws);
+      Partition& p = ws.level_partition;
+      p.reset(cn, k);
+      for (NodeId u = 0; u < cn; ++u) p.set(u, coarse[u]);
+      refine_down(rh.hierarchy, g, k, c, fm, par, cycle_rng, cycle, trace,
+                  ws);
     }
 
-    Partition p(g.num_nodes(), k);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, assign[u]);
+    const Partition& p = ws.level_partition;
     const Goodness goodness = compute_goodness(g, p, c);
     if (!best_assign || goodness < best_goodness) {
       best_goodness = goodness;
-      best_assign = std::move(assign);
+      best_assign = p.assignments();
     }
     result.cycles_used = cycle + 1;
     if (best_goodness.resource_excess == 0 &&

@@ -210,8 +210,10 @@ class Workspace {
   Matching match_candidate;
   Matching match_best;
 
-  /// Reusable Partition for per-level refine-project loops.
+  /// Reusable Partitions for per-level refine-project loops: the level
+  /// being refined, and the coarser level it was projected from.
   Partition level_partition;
+  Partition coarse_partition;
 
   /// Transient per-run profiling context, installed from
   /// PartitionRequest::phases via PhaseContextScope so shared helpers

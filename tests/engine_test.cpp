@@ -65,6 +65,13 @@ TEST(Portfolio, DefaultsAreRegistered) {
   }
 }
 
+TEST(Portfolio, DefaultsAreGpMetisLikeTabu) {
+  // Annealing left the default race: over a 198-job corpus it won one job
+  // and used most of the member CPU (README, "A leaner default portfolio").
+  EXPECT_EQ(engine::Portfolio::defaults().members,
+            (std::vector<std::string>{"gp", "metislike", "tabu"}));
+}
+
 TEST(Portfolio, ParseAcceptsListsAndDefaultKeyword) {
   auto p = engine::Portfolio::parse("gp, annealing,tabu");
   ASSERT_TRUE(p.is_ok()) << p.message();
@@ -788,6 +795,55 @@ TEST(Engine, MemberWinLossMetricsAreExact) {
   EXPECT_EQ(eng.stats().metrics.counter_or("engine.jobs"), kJobs);
 }
 
+TEST(Engine, DefaultPortfolioRunsExactlyItsThreeMembers) {
+  // A tracked-workload PN (layers = n / 64, perfbench's generator shape)
+  // at the perfbench sweep's tight slack, through a default engine.
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 2'000;
+  params.layers = params.num_nodes / 64;
+  support::Rng rng(7);
+  engine::Job job;
+  job.graph = std::make_shared<const graph::Graph>(
+      graph::random_process_network(params, rng));
+  job.request.k = 4;
+  job.request.seed = 11;
+  job.request.constraints.rmax = static_cast<graph::Weight>(
+      1.05 * static_cast<double>(job.graph->total_node_weight()) / 4);
+
+  engine::EngineOptions opts;
+  support::MetricsRegistry registry;
+  opts.metrics = &registry;
+  engine::Engine eng(opts);
+  const engine::PortfolioOutcome out = eng.run_one(job.graph, job.request);
+  ASSERT_TRUE(out.status.is_ok()) << out.status.to_string();
+
+  std::vector<std::string> ran;
+  for (const engine::MemberOutcome& m : out.members) {
+    EXPECT_TRUE(m.ran) << m.algorithm;
+    EXPECT_FALSE(m.failed) << m.algorithm;
+    ran.push_back(m.algorithm);
+  }
+  EXPECT_EQ(ran, (std::vector<std::string>{"gp", "metislike", "tabu"}));
+  const support::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_or("engine.member.annealing.runs"), 0u);
+  EXPECT_EQ(snap.counter_or("engine.member.tabu.runs"), 1u);
+}
+
+TEST(Engine, AnnealingStillRunsWhenNamed) {
+  const auto spec = engine::Portfolio::parse("gp,metislike,annealing,tabu");
+  ASSERT_TRUE(spec.is_ok()) << spec.message();
+  engine::EngineOptions opts;
+  opts.portfolio = spec.value();
+  engine::Engine eng(opts);
+  const engine::Job job = make_job(61);
+  const engine::PortfolioOutcome out = eng.run_one(job.graph, job.request);
+  ASSERT_TRUE(out.status.is_ok()) << out.status.to_string();
+  ASSERT_EQ(out.members.size(), 4u);
+  EXPECT_EQ(out.members[2].algorithm, "annealing");
+  EXPECT_TRUE(out.members[2].ran);
+  EXPECT_FALSE(out.members[2].failed) << out.members[2].error;
+}
+
 TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
   // Satellite rail of the observability PR: similarity counters are bumped
   // transactionally with their verdict, so EVERY stats() snapshot satisfies
@@ -921,6 +977,30 @@ TEST(Engine, BoundedAdmissionWalksTheLadderAndRejectsAtCapacity) {
       eng.run_one(cheap_again.graph, cheap_again.request);
   EXPECT_FALSE(recomputed.from_cache);
   EXPECT_EQ(recomputed.decision.rung, Rung::kFull);
+}
+
+TEST(Engine, DefaultCheapRungRunsGpAndMetisLike) {
+  using Rung = engine::AdmissionDecision::DegradeRung;
+  engine::EngineOptions opts;  // the default portfolio
+  opts.queue_capacity = 4;
+  opts.max_running_jobs = 1;
+  engine::Engine eng(opts);
+
+  PoolBlocker blocker;
+  std::vector<engine::Engine::JobId> ids;
+  for (std::uint64_t s = 0; s < 3; ++s)
+    ids.push_back(eng.submit(make_job(520 + s, /*nodes=*/48)));
+  blocker.release();
+
+  // Depth at admission: 0(run) 0 1 -> full full cheap with cap 4.
+  std::vector<engine::PortfolioOutcome> outs;
+  for (engine::Engine::JobId id : ids) outs.push_back(eng.wait(id));
+  const engine::PortfolioOutcome& cheap = outs[2];
+  ASSERT_EQ(cheap.decision.rung, Rung::kCheapMembers);
+  std::vector<std::string> ran;
+  for (const engine::MemberOutcome& m : cheap.members)
+    if (m.ran) ran.push_back(m.algorithm);
+  EXPECT_EQ(ran, (std::vector<std::string>{"gp", "metislike"}));
 }
 
 TEST(Engine, DropOldestShedsTheQueueHeadWithTypedError) {

@@ -59,6 +59,12 @@
 // nodes: the stopped cut may not exceed the unstopped cut, and the stopped
 // run must apply fewer FM moves.
 //
+// The "portfolio" block (full run only) counts, over a 198-job corpus of
+// paper instances, built-in workloads and 10k tracked PNs, how many jobs
+// each member of the default portfolio wins, the CPU it uses and how often
+// it finishes last, for the default before Annealing left it and for
+// today's; it also compares the two defaults' answers job by job.
+//
 // Modes:
 //   bench_json            full workload, writes BENCH_multilevel.json
 //   bench_json --stdout   full workload, JSON to stdout only
@@ -87,6 +93,8 @@
 #include "bench_common.hpp"
 #include "engine/engine.hpp"
 #include "partition/nlevel.hpp"
+#include "ppn/paper_instances.hpp"
+#include "ppn/workloads.hpp"
 #include "support/stop_token.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -712,11 +720,200 @@ void emit_fm_window_run(std::FILE* out, const char* key,
                static_cast<unsigned long long>(r.longest_fruitless));
 }
 
+/// One job of the default-portfolio corpus, with a label for the record.
+struct CorpusJob {
+  std::string label;
+  std::shared_ptr<const graph::Graph> graph;
+  part::PartitionRequest request;
+};
+
+/// The corpus that decides which members the default portfolio races:
+///   * paper instances 1-3 with their own K and constraints, seeds 1-10;
+///   * every built-in workload at default scale, K in {2, 4, 8} with at
+///     least two processes per part, Rmax slack {1.05, 1.3}, Bmax
+///     {unlimited, 1.3x}, seeds {1, 2};
+///   * four 10k-node tracked PNs (layers = n / 64), K in {2, 4, 8}, Rmax
+///     slack {1.05, 1.3}, seed 1.
+/// Rmax = slack * W / K and Bmax = 1.3 * (total edge weight) / (K choose 2)
+/// / 2, the request scheme of perfbench's serving workloads.
+std::vector<CorpusJob> portfolio_corpus() {
+  std::vector<CorpusJob> jobs;
+  auto request = [](const graph::Graph& g, part::PartId k, double slack,
+                    bool bmax, std::uint64_t seed) {
+    part::PartitionRequest r;
+    r.k = k;
+    r.seed = seed;
+    r.constraints.rmax = static_cast<graph::Weight>(
+        slack * static_cast<double>(g.total_node_weight()) / k);
+    if (bmax) {
+      const double pairs = static_cast<double>(k) * (k - 1) / 2.0;
+      r.constraints.bmax = static_cast<graph::Weight>(
+          1.3 * static_cast<double>(g.total_edge_weight()) / pairs / 2.0);
+    }
+    return r;
+  };
+  for (int index = 1; index <= 3; ++index) {
+    const ppn::PaperInstance inst = ppn::paper_instance(index);
+    const auto g = std::make_shared<const graph::Graph>(inst.graph);
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      part::PartitionRequest r;
+      r.k = inst.k;
+      r.seed = seed;
+      r.constraints = inst.constraints;
+      jobs.push_back({"paper" + std::to_string(index) + " seed " +
+                          std::to_string(seed),
+                      g, r});
+    }
+  }
+  for (const std::string& name : ppn::workload_names()) {
+    const auto g = std::make_shared<const graph::Graph>(
+        ppn::to_graph(ppn::make_workload(name)));
+    for (const part::PartId k : {2, 4, 8}) {
+      if (static_cast<graph::NodeId>(2 * k) > g->num_nodes()) continue;
+      for (const double slack : {1.05, 1.3})
+        for (const bool bmax : {false, true})
+          for (const std::uint64_t seed : {1, 2})
+            jobs.push_back(
+                {name + " k" + std::to_string(k) + " slack " +
+                     (slack < 1.1 ? "1.05" : "1.3") +
+                     (bmax ? " bmax 1.3x" : " bmax inf") + " seed " +
+                     std::to_string(seed),
+                 g, request(*g, k, slack, bmax, seed)});
+    }
+  }
+  for (std::uint64_t pn = 1; pn <= 4; ++pn) {
+    graph::ProcessNetworkParams params;
+    params.num_nodes = 10'000;
+    params.layers = params.num_nodes / 64;
+    support::Rng rng(pn);
+    const auto g = std::make_shared<const graph::Graph>(
+        graph::random_process_network(params, rng));
+    for (const part::PartId k : {2, 4, 8})
+      for (const double slack : {1.05, 1.3})
+        jobs.push_back({"pn10k#" + std::to_string(pn) + " k" +
+                            std::to_string(k) + " slack " +
+                            (slack < 1.1 ? "1.05" : "1.3"),
+                        g, request(*g, k, slack, true, 1)});
+  }
+  return jobs;
+}
+
+/// Per-member totals of one portfolio over the corpus.
+struct PortfolioTally {
+  engine::Portfolio portfolio;
+  std::vector<std::uint64_t> wins;        // jobs whose answer it gave
+  std::vector<std::uint64_t> sets_latency;  // jobs it finished last in
+  std::vector<double> cpu_s;              // summed member run time
+  double job_s = 0;                       // summed engine job latency
+  long long cut_sum = 0;                  // summed winning cut
+  std::vector<part::PartitionResult> best;  // answer per corpus job
+};
+
+PortfolioTally run_portfolio_corpus(const std::vector<CorpusJob>& jobs,
+                                    const engine::Portfolio& portfolio) {
+  PortfolioTally t;
+  t.portfolio = portfolio;
+  t.wins.assign(portfolio.size(), 0);
+  t.sets_latency.assign(portfolio.size(), 0);
+  t.cpu_s.assign(portfolio.size(), 0.0);
+  // Caches off: every job is computed, and no job's answer depends on the
+  // order the corpus runs in.
+  engine::EngineOptions opts;
+  opts.portfolio = portfolio;
+  opts.cache_capacity = 0;
+  opts.coarsen_cache_capacity = 0;
+  support::MetricsRegistry registry;
+  opts.metrics = &registry;
+  engine::Engine eng(opts);
+  for (const CorpusJob& job : jobs) {
+    const engine::PortfolioOutcome out = eng.run_one(job.graph, job.request);
+    std::size_t slowest = 0;
+    for (std::size_t i = 0; i < out.members.size(); ++i) {
+      const engine::MemberOutcome& m = out.members[i];
+      if (m.won) ++t.wins[i];
+      t.cpu_s[i] += m.seconds;
+      if (m.seconds > out.members[slowest].seconds) slowest = i;
+    }
+    ++t.sets_latency[slowest];
+    t.job_s += out.seconds;
+    t.cut_sum += static_cast<long long>(out.best.metrics.total_cut);
+    t.best.push_back(out.best);
+  }
+  return t;
+}
+
+/// A corpus job whose answer changed between the two portfolios.
+struct CorpusChange {
+  std::string label;
+  graph::NodeId nodes = 0;
+  std::string old_winner, new_winner;
+  part::Goodness old_goodness, new_goodness;
+};
+
+struct PortfolioCorpusResult {
+  std::size_t jobs = 0;
+  PortfolioTally old_default, new_default;
+  /// New default's answer against the old one's, job by job: the same
+  /// partition, another partition of equal goodness, a better or a worse
+  /// goodness.
+  std::uint64_t identical = 0, equal_goodness = 0, better = 0, worse = 0;
+  std::vector<CorpusChange> changes;  // every answer that is not identical
+};
+
+PortfolioCorpusResult run_portfolio_corpus_case() {
+  const std::vector<CorpusJob> jobs = portfolio_corpus();
+  PortfolioCorpusResult r;
+  r.jobs = jobs.size();
+  // The default portfolio before Annealing left it, for the record.
+  r.old_default = run_portfolio_corpus(
+      jobs, engine::Portfolio{{"gp", "metislike", "annealing", "tabu"}});
+  r.new_default = run_portfolio_corpus(jobs, engine::Portfolio::defaults());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const part::PartitionResult& a = r.old_default.best[j];
+    const part::PartitionResult& b = r.new_default.best[j];
+    if (a.partition.assignments() == b.partition.assignments()) {
+      ++r.identical;
+      continue;
+    }
+    const part::Goodness ga = part::goodness_of(a), gb = part::goodness_of(b);
+    if (gb < ga)
+      ++r.better;
+    else if (ga < gb)
+      ++r.worse;
+    else
+      ++r.equal_goodness;
+    r.changes.push_back({jobs[j].label, jobs[j].graph->num_nodes(),
+                         a.algorithm, b.algorithm, ga, gb});
+  }
+  return r;
+}
+
+void emit_portfolio_tally(std::FILE* out, const char* key,
+                          const PortfolioTally& t) {
+  double cpu_total = 0;
+  for (const double s : t.cpu_s) cpu_total += s;
+  std::fprintf(out,
+               "    \"%s\": {\"members\": \"%s\", \"cpu_s\": %.3f, "
+               "\"job_s\": %.3f, \"cut_sum\": %lld, \"per_member\": [",
+               key, t.portfolio.to_string().c_str(), cpu_total, t.job_s,
+               t.cut_sum);
+  for (std::size_t i = 0; i < t.portfolio.size(); ++i) {
+    std::fprintf(out,
+                 "%s\n      {\"name\": \"%s\", \"wins\": %llu, "
+                 "\"cpu_s\": %.3f, \"sets_latency\": %llu}",
+                 i > 0 ? "," : "", t.portfolio.members[i].c_str(),
+                 static_cast<unsigned long long>(t.wins[i]), t.cpu_s[i],
+                 static_cast<unsigned long long>(t.sets_latency[i]));
+  }
+  std::fprintf(out, "]}");
+}
+
 void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
                const IncrementalResult& inc, const SimilarityResult& sim,
                const RobustnessResult& rob, const NearTwinBurstResult& burst,
                const ParallelScaleResult& scale, const FmWindowRun& stopped,
-               const FmWindowRun& unstopped, graph::NodeId n,
+               const FmWindowRun& unstopped,
+               const PortfolioCorpusResult& corpus, graph::NodeId n,
                double span_ns) {
   // Baseline: pre-workspace implementation (commit bb85fa0), same workload,
   // same machine class as the numbers committed with PR 3.
@@ -902,6 +1099,40 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
   std::fprintf(out, ",\n");
   emit_fm_window_run(out, "unstopped", unstopped);
   std::fprintf(out, "},\n");
+  // Default-portfolio corpus: the win count that decides which members the
+  // default races. Old and new default run the same corpus through one
+  // engine each, caches off; `answers` compares the new default's answer
+  // with the old one's job by job, and `changed` lists the jobs whose
+  // answer is not bit-identical (cuts and excesses of both).
+  std::fprintf(out, "  \"portfolio\": {\"jobs\": %zu,\n", corpus.jobs);
+  emit_portfolio_tally(out, "old_default", corpus.old_default);
+  std::fprintf(out, ",\n");
+  emit_portfolio_tally(out, "new_default", corpus.new_default);
+  std::fprintf(out,
+               ",\n    \"answers\": {\"identical\": %llu, "
+               "\"equal_goodness\": %llu, \"better\": %llu, "
+               "\"worse\": %llu},\n    \"changed\": [",
+               static_cast<unsigned long long>(corpus.identical),
+               static_cast<unsigned long long>(corpus.equal_goodness),
+               static_cast<unsigned long long>(corpus.better),
+               static_cast<unsigned long long>(corpus.worse));
+  for (std::size_t i = 0; i < corpus.changes.size(); ++i) {
+    const CorpusChange& c = corpus.changes[i];
+    std::fprintf(
+        out,
+        "%s\n      {\"job\": \"%s\", \"nodes\": %u, "
+        "\"old_winner\": \"%s\", \"old_cut\": %lld, "
+        "\"old_excess\": %lld, \"new_winner\": \"%s\", "
+        "\"new_cut\": %lld, \"new_excess\": %lld}",
+        i > 0 ? "," : "", c.label.c_str(), c.nodes, c.old_winner.c_str(),
+        static_cast<long long>(c.old_goodness.cut),
+        static_cast<long long>(c.old_goodness.resource_excess +
+                               c.old_goodness.bandwidth_excess),
+        c.new_winner.c_str(), static_cast<long long>(c.new_goodness.cut),
+        static_cast<long long>(c.new_goodness.resource_excess +
+                               c.new_goodness.bandwidth_excess));
+  }
+  std::fprintf(out, "\n    ]},\n");
   // Shared-memory scaling scenario (PR 10): one GP run on a large streamed
   // PN per thread count. `bit_identical_across_threads` is the
   // deterministic-mode contract; speedups are honest wall-clock ratios on
@@ -1398,17 +1629,19 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(unstopped.longest_fruitless),
                  stopped.cut, unstopped.cut);
 
+  const PortfolioCorpusResult corpus = run_portfolio_corpus_case();
+
   const double span_ns = disabled_span_ns();
   emit_json(stdout, results, inc, sim, rob, burst, scale, stopped, unstopped,
-            n, span_ns);
+            corpus, n, span_ns);
   if (!to_stdout) {
     std::FILE* f = std::fopen("BENCH_multilevel.json", "w");
     if (f == nullptr) {
       std::fprintf(stderr, "bench_json: cannot write BENCH_multilevel.json\n");
       return 1;
     }
-    emit_json(f, results, inc, sim, rob, burst, scale, stopped, unstopped, n,
-              span_ns);
+    emit_json(f, results, inc, sim, rob, burst, scale, stopped, unstopped,
+              corpus, n, span_ns);
     std::fclose(f);
     std::fprintf(stderr, "bench_json: wrote BENCH_multilevel.json\n");
   }

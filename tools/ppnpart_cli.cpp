@@ -18,7 +18,8 @@
 //
 // Engine (portfolio) mode — any of these switches it on:
 //   --portfolio SPEC    race a comma-separated portfolio of algorithms
-//                       ("default" = gp,metislike,annealing,tabu; when
+//                       ("default" = gp,metislike,tabu; any registry
+//                       name may be listed, annealing included; when
 //                       omitted, --algorithm runs as a 1-member portfolio)
 //   --time-budget-ms N  per-job wall-clock budget (cooperative)
 //   --threads-per-job N shared-memory threads inside each partitioner run
@@ -228,7 +229,7 @@ int main(int argc, char** argv) {
   args.add_int("seed", 1, "PRNG seed");
   args.add_string("portfolio", "",
                   "engine mode: comma-separated algorithms to race "
-                  "('default' = gp,metislike,annealing,tabu)");
+                  "('default' = gp,metislike,tabu)");
   args.add_int("time-budget-ms", 0,
                "engine mode: per-job wall-clock budget (0 = unlimited)");
   args.add_int("jobs", 1,
